@@ -17,12 +17,9 @@ from .errors import (
     SizeError,
 )
 from .model import (
-    BandPoint,
     ModelParams,
-    SelfEnergyEval,
     band_extrema,
     band_halfwidth,
-    evaluate_bands,
     gap_energy,
     momentum_grid,
     omega_photon,

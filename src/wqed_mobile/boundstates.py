@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BandEdgeSingularity, NoBoundState, NumericalFailure, ParameterError
 from .model import (
@@ -38,9 +37,7 @@ from .model import (
     gap_energy,
     momentum_grid,
     omega_tilde,
-    self_energy,
     z_of_K,
-    _poles,
 )
 
 #: Acceptable residual |F(E)| relative to max(1, |E|) after polishing.
@@ -82,7 +79,8 @@ def pole_function(params: ModelParams, K: float, E: float) -> float:
         raise ParameterError(
             f"F(E) is only defined outside the band (|E| = {abs(E)!r} < 2|z| = {b!r})"
         )
-    return float(E - gap_energy(params, K) - self_energy(params, K, E).sigma.real)
+    return _f_of_delta(abs(E) - b, 1 if E > 0 else -1, b,
+                       float(gap_energy(params, K)), params.Omega**2)
 
 
 def _f_of_delta(delta: float, side: int, b: float, e_gap: float, om2: float) -> float:
@@ -96,6 +94,14 @@ def _df_dE(delta: float, b: float, om2: float) -> float:
     return 1.0 + om2 * (b + delta) / (delta * (delta + 2.0 * b)) ** 1.5
 
 
+def _resolved_offset(b: float, energy: float, delta: float) -> tuple[float, float]:
+    """Offset d = |E| - 2|z| and sqrt(E^2 - 4|z|^2) at the rounded energy E, bit for
+    bit; the exact offset delta replaces d where E rounds onto the band edge."""
+    e = abs(energy)
+    d = e - b if e > b else delta
+    return d, math.sqrt(d * (e + b))
+
+
 def solve_bound_state(params: ModelParams, K: float, branch: int) -> BoundState:
     """Locate the bound state of the requested branch (+1 above, -1 below).
 
@@ -103,7 +109,7 @@ def solve_bound_state(params: ModelParams, K: float, branch: int) -> BoundState:
     refined by Newton steps using the analytic F'; the final residual
     satisfies |F(E)| < 1e-12 * max(1, |E|).
 
-    With Omega = 0 the decoupled level E_{K,Delta} is returned if it lies
+    With Omega = 0 the root is the decoupled level E_{K,Delta} if it lies
     out of band on the requested side, otherwise NoBoundState is raised.
     """
     if branch not in (+1, -1):
@@ -112,19 +118,12 @@ def solve_bound_state(params: ModelParams, K: float, branch: int) -> BoundState:
     b = float(band_halfwidth(params, K))
     e_gap = float(gap_energy(params, K))
     om2 = params.Omega**2
-    z = complex(z_of_K(params, K))
 
-    if om2 == 0.0:
-        if side * e_gap <= b:
-            raise NoBoundState(
-                "Omega = 0 and the decoupled level is not out of band on "
-                f"branch {branch:+d} (E_gap = {e_gap!r}, 2|z| = {b!r})"
-            )
-        y_in, _ = _poles(z, e_gap, b)
-        return BoundState(branch=branch, K=float(K), energy=e_gap, u=1.0,
-                          y_in=y_in, loc_length=-1.0 / math.log(abs(y_in)),
-                          edge_offset=abs(e_gap) - b)
-
+    if om2 == 0.0 and side * e_gap <= b:
+        raise NoBoundState(
+            "Omega = 0 and the decoupled level is not out of band on "
+            f"branch {branch:+d} (E_gap = {e_gap!r}, 2|z| = {b!r})"
+        )
     g = lambda s: side * _f_of_delta(math.exp(s), side, b, e_gap, om2)
 
     # Inner bracket end: g -> -inf as delta -> 0; shrink until negative.
@@ -139,6 +138,9 @@ def solve_bound_state(params: ModelParams, K: float, branch: int) -> BoundState:
         d_hi *= 2.0
         if d_hi > 1e12:
             raise NumericalFailure("could not bracket the bound-state root from above")
+
+    # Imported here so that `import wqed_mobile` does not load scipy.
+    from scipy.optimize import brentq
 
     s_root = brentq(g, math.log(d_lo), math.log(d_hi), xtol=1e-14, rtol=8.9e-16,
                     maxiter=200)
@@ -161,10 +163,11 @@ def solve_bound_state(params: ModelParams, K: float, branch: int) -> BoundState:
         )
 
     u = 1.0 / math.sqrt(_df_dE(delta, b, om2))
-    y_in, _ = _poles(z, energy, b)
-    return BoundState(branch=branch, K=float(K), energy=energy, u=u,
-                      y_in=y_in, loc_length=-1.0 / math.log(abs(y_in)),
-                      edge_offset=delta)
+    d, sq = _resolved_offset(b, energy, delta)
+    y_in = -side * 2.0 * complex(z_of_K(params, K)).conjugate() / (abs(energy) + sq)
+    # -log|y_<| = log((|E| + sq) / b), free of cancellation at the edge.
+    return BoundState(branch=branch, K=float(K), energy=energy, u=u, y_in=y_in,
+                      loc_length=1.0 / math.log1p((d + sq) / b), edge_offset=delta)
 
 
 def pole_residual(params: ModelParams, bound: BoundState) -> float:
@@ -188,28 +191,27 @@ def bound_wavefunctions(params: ModelParams, bound: BoundState, x_max: int
     * photon_density : the x-independent photon number
                |Omega u y_<|^2 / (|z(K)|^2 |y_< - y_>|^2 (1 - |y_<|^2)).
     """
+    if x_max < 0:
+        raise ParameterError(f"x_max must be >= 0 (got {x_max})")
     L = params.L
     p = momentum_grid(L)
-    if params.Omega == 0.0:
-        f_p = np.zeros(L)
-    else:
-        f_p = (params.Omega / math.sqrt(L)) * bound.u / (
-            bound.energy - omega_tilde(params, bound.K, p)
-        )
+    f_p = (params.Omega / math.sqrt(L)) * bound.u / (
+        bound.energy - omega_tilde(params, bound.K, p)
+    )
 
     z = complex(z_of_K(params, bound.K))
     b = float(band_halfwidth(params, bound.K))
-    y_in, y_out = _poles(z, bound.energy, b)
+    d, sq = _resolved_offset(b, bound.energy, bound.edge_offset)
+    y_out = -bound.branch * (abs(bound.energy) + sq) / (2.0 * z)
     x = np.arange(-x_max, x_max + 1)
-    c_plus = params.Omega * bound.u / (z * (y_in - y_out))
-    decay = c_plus * y_in ** np.abs(x)
+    c_plus = params.Omega * bound.u / (z * (bound.y_in - y_out))
+    decay = c_plus * bound.y_in ** np.abs(x)
     amp = np.where(x >= 0, decay, np.conj(decay))
     field = WavefunctionField(x=x, amp=amp)
 
-    density = (
-        abs(params.Omega * bound.u * y_in) ** 2
-        / (abs(z) ** 2 * abs(y_in - y_out) ** 2 * (1.0 - abs(y_in) ** 2))
-    )
+    # |y_<| = b / (b + d + sq), so 1 - |y_<|^2 has no cancellation.
+    density = ((params.Omega * bound.u * b / sq) ** 2
+               / ((d + sq) * (2.0 * b + d + sq)))
     return f_p, field, float(density)
 
 
@@ -260,11 +262,8 @@ def band_scan(params: ModelParams, n_K: int) -> BandScan:
     if n_K < 8:
         raise ParameterError(f"n_K must be >= 8 (got {n_K})")
     K = momentum_grid(n_K)
-    e_minus = np.empty(n_K)
-    e_plus = np.empty(n_K)
-    for i, Ki in enumerate(K):
-        e_minus[i] = solve_bound_state(params, Ki, -1).energy
-        e_plus[i] = solve_bound_state(params, Ki, +1).energy
+    e_minus = np.array([solve_bound_state(params, k, -1).energy for k in K])
+    e_plus = np.array([solve_bound_state(params, k, +1).energy for k in K])
     b = band_halfwidth(params, K)
     return BandScan(K=K, e_minus=e_minus, e_plus=e_plus,
                     band_min=-b, band_max=b, flatness=flatness_report(params))

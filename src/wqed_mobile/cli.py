@@ -18,6 +18,8 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,10 +59,9 @@ def _fmt(value) -> str:
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     """Deterministic CSV: header row, LF endings, 12-significant-digit floats."""
-    rows = zip(*columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for row in zip(*columns):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -71,10 +72,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return _jsonable(obj.tolist())
     if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
         return repr(obj)
     return obj
@@ -85,8 +84,7 @@ def write_sidecar(path: str, args: argparse.Namespace, params: ModelParams,
     meta = {
         "version": __version__,
         "command": args.command,
-        "params": {"J": params.J, "Jp": params.Jp, "Delta": params.Delta,
-                   "Omega": params.Omega, "L": params.L},
+        "params": asdict(params),
         "threads": resolve_threads(getattr(args, "threads", None)),
         "wall_time_s": time.perf_counter() - t_start,
     }
@@ -96,157 +94,126 @@ def write_sidecar(path: str, args: argparse.Namespace, params: ModelParams,
         fh.write("\n")
 
 
-def _params_from(args: argparse.Namespace) -> ModelParams:
-    return ModelParams(J=args.J, Jp=args.Jp, Delta=args.Delta,
-                       Omega=args.Omega, L=args.L)
+#: Flags every subcommand takes: (flag, add_argument keywords).
+_MODEL_FLAGS = (
+    ("--J", dict(type=float, default=1.0, help="photon hopping (energy unit)")),
+    ("--Jp", dict(type=float, default=0.0, help="emitter hopping J'")),
+    ("--Delta", dict(type=float, default=0.0, help="emitter splitting")),
+    ("--Omega", dict(type=float, default=1.0, help="emitter-photon coupling")),
+    ("--L", dict(type=int, default=400, help="lattice sites / momentum modes")),
+    ("--out", dict(type=str, default=None,
+                   help="output prefix (default: the subcommand name)")),
+    ("--threads", dict(type=int, default=None,
+                       help="worker threads for per-K loops (WQED_THREADS caps it)")),
+)
 
 
-def _add_model_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--J", type=float, default=1.0, help="photon hopping (energy unit)")
-    sp.add_argument("--Jp", type=float, default=0.0, help="emitter hopping J'")
-    sp.add_argument("--Delta", type=float, default=0.0, help="emitter splitting")
-    sp.add_argument("--Omega", type=float, default=1.0, help="emitter-photon coupling")
-    sp.add_argument("--L", type=int, default=400, help="lattice sites / momentum modes")
-    sp.add_argument("--out", type=str, default=None,
-                    help="output prefix (default: the subcommand name)")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads for per-K loops (WQED_THREADS caps it)")
+# Compute steps map (args, params) to (tables, sidecar fields); tables map an
+# output-file suffix to (CSV header, columns).  They reach the package through
+# this module's globals, so wrappers set on the module at run time see every call.
 
 
-def _out(args: argparse.Namespace) -> str:
-    return args.out if args.out else args.command
-
-
-def cmd_scatter(args) -> int:
-    params = _params_from(args)
-    t0 = time.perf_counter()
+def _scatter(args, params):
     res = scatter(params, args.ki, args.pi)
-    payload = {
-        "k_i": args.ki, "p_i": args.pi,
-        "t": res.t, "r": res.r, "T": abs(res.t) ** 2, "R": abs(res.r) ** 2,
-        "p_f2": res.p_f2, "k_f2": res.k_f2,
-        "detuning": res.detuning, "gamma": res.gamma,
-        "degenerate": res.degenerate,
-    }
-    write_sidecar(f"{_out(args)}.json", args, params, t0, result=payload)
     print(f"T = {abs(res.t)**2:.6f}  R = {abs(res.r)**2:.6f}  "
           f"p_f2 = {res.p_f2:.6f}  degenerate = {res.degenerate}")
-    return 0
+    return {}, {"result": dict(asdict(res), k_i=args.ki, p_i=args.pi,
+                               T=abs(res.t) ** 2, R=abs(res.r) ** 2)}
 
 
-def _cmd_map(args) -> int:
-    params = _params_from(args)
-    t0 = time.perf_counter()
+def _map(args, params):
     table = sweep_scattering(params, args.nk, args.np)
-    out = _out(args)
-    write_csv(f"{out}.csv", list(SWEEP_COLUMNS), [table[c] for c in SWEEP_COLUMNS])
-    write_sidecar(f"{out}.json", args, params, t0,
-                  grid={"nk": args.nk, "np": args.np},
-                  degenerate_points=int(table["degenerate"].sum()))
-    return 0
+    return ({"": (list(SWEEP_COLUMNS), [table[c] for c in SWEEP_COLUMNS])},
+            {"grid": {"nk": args.nk, "np": args.np},
+             "degenerate_points": int(table["degenerate"].sum())})
 
 
-def cmd_bound_energies(args) -> int:
-    params = _params_from(args)
-    t0 = time.perf_counter()
+def _bound_energies(args, params):
     scan = band_scan(params, args.nK)
-    out = _out(args)
-    write_csv(f"{out}.csv", ["K", "E_minus", "E_plus", "band_min", "band_max"],
-              [scan.K, scan.e_minus, scan.e_plus, scan.band_min, scan.band_max])
-    write_sidecar(f"{out}.json", args, params, t0,
-                  grid={"nK": args.nK},
-                  flatness={"c2": scan.flatness.c2, "c4": scan.flatness.c4,
-                            "half_window": scan.flatness.half_window,
-                            "n_points": scan.flatness.n_points})
-    return 0
+    return ({"": (["K", "E_minus", "E_plus", "band_min", "band_max"],
+                  [scan.K, scan.e_minus, scan.e_plus, scan.band_min, scan.band_max])},
+            {"grid": {"nK": args.nK}, "flatness": asdict(scan.flatness)})
 
 
-def cmd_bound_wavefunction(args) -> int:
-    params = _params_from(args)
-    t0 = time.perf_counter()
-    branch = +1 if args.branch == "plus" else -1
-    bound = solve_bound_state(params, args.K, branch)
-    f_p, field, density = bound_wavefunctions(params, bound, args.xmax)
-    out = _out(args)
-    write_csv(f"{out}.csv", ["x", "f_re", "f_im", "abs_f", "phase"],
-              [field.x, field.amp.real, field.amp.imag,
-               np.abs(field.amp), np.angle(field.amp)])
-    write_sidecar(f"{out}.json", args, params, t0,
-                  K=args.K, branch=args.branch, energy=bound.energy,
-                  u=bound.u, y_in=bound.y_in, loc_length=bound.loc_length,
-                  photon_density=density)
-    return 0
+def _bound_wavefunction(args, params):
+    bound = solve_bound_state(params, args.K, +1 if args.branch == "plus" else -1)
+    _, field, density = bound_wavefunctions(params, bound, args.xmax)
+    return ({"": (["x", "f_re", "f_im", "abs_f", "phase"],
+                  [field.x, field.amp.real, field.amp.imag,
+                   np.abs(field.amp), np.angle(field.amp)])},
+            {"K": args.K, "branch": args.branch, "energy": bound.energy,
+             "u": bound.u, "y_in": bound.y_in, "loc_length": bound.loc_length,
+             "photon_density": density})
 
 
-def cmd_emit_fixed_k(args) -> int:
-    params = _params_from(args)
-    t0 = time.perf_counter()
+def _emit_fixed_k(args, params):
     times = np.linspace(0.0, args.tmax, args.nt)
     traj = evolve_fixed_K(params, args.K, times)
     n_p, direction = photon_spectrum_and_directionality(traj, args.tmax)
-    p = momentum_grid(params.L)
-    out = _out(args)
-    write_csv(f"{out}_pe.csv", ["t", "P_e_total"],
-              [times, np.abs(traj.psi_e) ** 2])
-    write_csv(f"{out}_np.csv", ["p", "N_p"], [p, n_p])
     try:
         gamma = markov_rate(params, args.K)
     except (NotEmbedded, BandEdgeSingularity):
         gamma = None
-    pm = asymptotic_momenta(params, args.K)
-    write_sidecar(f"{out}.json", args, params, t0,
-                  K=args.K, tmax=args.tmax, nt=args.nt,
-                  directionality=direction,
-                  directionality_note="normalized by total emitted photon number",
-                  measured_peaks=spectrum_peaks(p, n_p),
-                  predicted_p_plus=None if pm is None else pm[0],
-                  predicted_p_minus=None if pm is None else pm[1],
-                  markov_rate=gamma)
-    return 0
+    pm = asymptotic_momenta(params, args.K) or (None, None)
+    return ({"_pe": (["t", "P_e_total"], [times, np.abs(traj.psi_e) ** 2]),
+             "_np": (["p", "N_p"], [momentum_grid(params.L), n_p])},
+            {"K": args.K, "tmax": args.tmax, "nt": args.nt,
+             "directionality": direction,
+             "directionality_note": "normalized by total emitted photon number",
+             "measured_peaks": spectrum_peaks(momentum_grid(params.L), n_p),
+             "predicted_p_plus": pm[0], "predicted_p_minus": pm[1],
+             "markov_rate": gamma})
 
 
-def cmd_emit_localized(args) -> int:
-    params = _params_from(args)
-    t0 = time.perf_counter()
+def _emit_localized(args, params):
     times = np.linspace(0.0, args.tmax, args.nt)
     snapshots = args.snapshot if args.snapshot else [args.tmax]
+    named = {}
     for s in snapshots:
+        if named.setdefault(f"{s:g}", s) != s:
+            raise ParameterError(f"snapshots t = {named[f'{s:g}']!r} and t = {s!r} "
+                                 f"would both write _x_t{s:g}.csv")
         if not np.any(np.abs(times - s) <= 1e-12 * max(1.0, s)):
             times = np.sort(np.append(times, s))
     run = evolve_localized(params, args.x0, times, threads=args.threads)
-    out = _out(args)
-    write_csv(f"{out}_pe.csv", ["t", "P_e_total"], [run.times, run.pe_total()])
+    tables = {"_pe": (["t", "P_e_total"], [run.times, run.pe_total()])}
     for s in snapshots:
         obs = position_observables(run, s)
-        write_csv(f"{out}_x_t{s:g}.csv", ["x", "N", "P_g", "P_e"],
-                  [obs.x, obs.n_photon, obs.p_ground, obs.p_excited])
-    write_sidecar(f"{out}.json", args, params, t0,
-                  x0=args.x0, tmax=args.tmax, nt=args.nt,
-                  snapshots=list(snapshots),
-                  final_pe_total=float(run.pe_total()[-1]))
-    return 0
+        tables[f"_x_t{s:g}"] = (["x", "N", "P_g", "P_e"],
+                                [obs.x, obs.n_photon, obs.p_ground, obs.p_excited])
+    return tables, {"x0": args.x0, "tmax": args.tmax, "nt": args.nt,
+                    "snapshots": list(snapshots),
+                    "final_pe_total": float(run.pe_total()[-1])}
 
 
-def cmd_windows(args) -> int:
-    params = _params_from(args)
-    t0 = time.perf_counter()
+def _windows(args, params):
     win = classify_regime_and_windows(params)
-    out = _out(args)
-    lows = np.array([w[0] for w in win.windows], dtype=float)
-    highs = np.array([w[1] for w in win.windows], dtype=float)
-    write_csv(f"{out}.csv", ["K_lo", "K_hi"], [lows, highs])
-    write_sidecar(f"{out}.json", args, params, t0,
-                  regime=win.regime,
-                  windows=[list(map(float, w)) for w in win.windows],
-                  w_plus=win.w_plus, w_minus=win.w_minus,
-                  jc_plus=win.jc_plus, jc_minus=win.jc_minus,
-                  jc_plus_approx=win.jc_plus_approx,
-                  jc_minus_approx=win.jc_minus_approx,
-                  embedded_fraction=win.embedded_fraction)
-    return 0
+    k_lo, k_hi = np.array(win.windows, dtype=float).reshape(-1, 2).T
+    return {"": (["K_lo", "K_hi"], [k_lo, k_hi])}, asdict(win)
 
 
-def cmd_selfcheck(args) -> int:
+def _writes(compute):
+    """Runner of a data subcommand: validate the flags, run the compute
+    step, write its tables to <out><suffix>.csv and the sidecar <out>.json."""
+    def run(args: argparse.Namespace) -> int:
+        for name, value in vars(args).items():
+            for v in value if isinstance(value, list) else [value]:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ParameterError(f"--{name} must be finite (got {v})")
+        params = ModelParams(J=args.J, Jp=args.Jp, Delta=args.Delta,
+                             Omega=args.Omega, L=args.L)
+        resolve_threads(args.threads)  # rejects a malformed WQED_THREADS up front
+        t0 = time.perf_counter()
+        tables, fields = compute(args, params)
+        out = args.out if args.out else args.command
+        for suffix, (header, columns) in tables.items():
+            write_csv(f"{out}{suffix}.csv", header, columns)
+        write_sidecar(f"{out}.json", args, params, t0, **fields)
+        return 0
+    return run
+
+
+def selfcheck(args: argparse.Namespace) -> int:
     """Fast internal consistency checks; prints one PASS/FAIL line each."""
     failures = 0
 
@@ -288,6 +255,53 @@ def cmd_selfcheck(args) -> int:
     return 0 if failures == 0 else 3
 
 
+class Command(NamedTuple):
+    """One subcommand: its name, help line, extra flags and its runner."""
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    flags: tuple = ()
+
+
+_MAP_FLAGS = (
+    ("--nk", dict(type=int, default=101, help="emitter-momentum grid size")),
+    ("--np", dict(type=int, default=101, help="photon-momentum grid size")),
+)
+_K_FLAG = ("--K", dict(type=float, required=True, help="total momentum"))
+
+COMMANDS = (
+    Command("scatter", "single (k_i, p_i) scattering amplitudes", _writes(_scatter), (
+        ("--ki", dict(type=float, required=True, help="initial emitter momentum")),
+        ("--pi", dict(type=float, required=True, help="initial photon momentum")))),
+    Command("map-transmission", "transmission map over (k_i, p_i)", _writes(_map),
+            _MAP_FLAGS),
+    Command("map-recoil", "emitter recoil-energy map over (k_i, p_i)", _writes(_map),
+            _MAP_FLAGS),
+    Command("bound-energies", "bound-state bands over K", _writes(_bound_energies), (
+        ("--nK", dict(type=int, default=201, help="K-grid size")),)),
+    Command("bound-wavefunction", "bound-state wavefunction at one K",
+            _writes(_bound_wavefunction), (
+        _K_FLAG,
+        ("--branch", dict(choices=("plus", "minus"), default="plus")),
+        ("--xmax", dict(type=int, default=50, help="relative-coordinate range")))),
+    Command("emit-fixed-k", "spontaneous emission at fixed K", _writes(_emit_fixed_k), (
+        _K_FLAG,
+        ("--tmax", dict(type=float, default=200.0)),
+        ("--nt", dict(type=int, default=201, help="time samples")))),
+    Command("emit-localized", "emission of an emitter localized at x0",
+            _writes(_emit_localized), (
+        ("--x0", dict(type=int, default=0, help="initial emitter site")),
+        ("--tmax", dict(type=float, default=100.0)),
+        ("--nt", dict(type=int, default=51, help="time samples")),
+        ("--snapshot", dict(type=float, action="append", default=None,
+                            help="time(s) for x-resolved output "
+                                 "(repeatable; default tmax)")))),
+    Command("windows", "K-selective emission windows", _writes(_windows)),
+    Command("selfcheck", "run fast internal consistency checks", selfcheck),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wqed",
@@ -296,64 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "(energies in units of J, momenta in radians).",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("scatter", help="single (k_i, p_i) scattering amplitudes")
-    _add_model_flags(sp)
-    sp.add_argument("--ki", type=float, required=True, help="initial emitter momentum")
-    sp.add_argument("--pi", type=float, required=True, help="initial photon momentum")
-    sp.set_defaults(func=cmd_scatter)
-
-    for name, help_ in (("map-transmission", "transmission map over (k_i, p_i)"),
-                        ("map-recoil", "emitter recoil-energy map over (k_i, p_i)")):
-        sp = sub.add_parser(name, help=help_)
-        _add_model_flags(sp)
-        sp.add_argument("--nk", type=int, default=101, help="emitter-momentum grid size")
-        sp.add_argument("--np", type=int, default=101, help="photon-momentum grid size")
-        sp.set_defaults(func=_cmd_map)
-
-    sp = sub.add_parser("bound-energies", help="bound-state bands over K")
-    _add_model_flags(sp)
-    sp.add_argument("--nK", type=int, default=201, help="K-grid size")
-    sp.set_defaults(func=cmd_bound_energies)
-
-    sp = sub.add_parser("bound-wavefunction", help="bound-state wavefunction at one K")
-    _add_model_flags(sp)
-    sp.add_argument("--K", type=float, required=True, help="total momentum")
-    sp.add_argument("--branch", choices=("plus", "minus"), default="plus")
-    sp.add_argument("--xmax", type=int, default=50, help="relative-coordinate range")
-    sp.set_defaults(func=cmd_bound_wavefunction)
-
-    sp = sub.add_parser("emit-fixed-k", help="spontaneous emission at fixed K")
-    _add_model_flags(sp)
-    sp.add_argument("--K", type=float, required=True, help="total momentum")
-    sp.add_argument("--tmax", type=float, default=200.0)
-    sp.add_argument("--nt", type=int, default=201, help="time samples")
-    sp.set_defaults(func=cmd_emit_fixed_k)
-
-    sp = sub.add_parser("emit-localized", help="emission of an emitter localized at x0")
-    _add_model_flags(sp)
-    sp.add_argument("--x0", type=int, default=0, help="initial emitter site")
-    sp.add_argument("--tmax", type=float, default=100.0)
-    sp.add_argument("--nt", type=int, default=51, help="time samples")
-    sp.add_argument("--snapshot", type=float, action="append", default=None,
-                    help="time(s) for x-resolved output (repeatable; default tmax)")
-    sp.set_defaults(func=cmd_emit_localized)
-
-    sp = sub.add_parser("windows", help="K-selective emission windows")
-    _add_model_flags(sp)
-    sp.set_defaults(func=cmd_windows)
-
-    sp = sub.add_parser("selfcheck", help="run fast internal consistency checks")
-    _add_model_flags(sp)
-    sp.set_defaults(func=cmd_selfcheck)
-
+    for cmd in COMMANDS:
+        sp = sub.add_parser(cmd.name, help=cmd.help)
+        for flag, kwargs in _MODEL_FLAGS + cmd.flags:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(run=cmd.run)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.run(args)
     except ParameterError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2

@@ -32,6 +32,7 @@ from .model import (
     ModelParams,
     band_halfwidth,
     gap_energy,
+    grid_add_index,
     momentum_grid,
     omega_tilde,
     wrap,
@@ -47,7 +48,10 @@ def resolve_threads(requested: int | None = None) -> int:
     n = requested if requested else (os.cpu_count() or 1)
     cap = os.environ.get("WQED_THREADS")
     if cap:
-        n = min(n, max(1, int(cap)))
+        try:
+            n = min(n, max(1, int(cap)))
+        except ValueError:
+            raise ParameterError(f"WQED_THREADS={cap!r} is not an integer") from None
     return max(1, n)
 
 
@@ -60,10 +64,17 @@ def block_hamiltonian(params: ModelParams, K: float) -> np.ndarray:
     L = params.L
     h = np.zeros((L + 1, L + 1))
     h[0, 0] = gap_energy(params, K)
-    diag = omega_tilde(params, K, momentum_grid(L))
-    h[np.arange(1, L + 1), np.arange(1, L + 1)] = diag
+    np.fill_diagonal(h[1:, 1:], omega_tilde(params, K, momentum_grid(L)))
     h[0, 1:] = h[1:, 0] = params.Omega / math.sqrt(L)
     return h
+
+
+def _time_index(times: np.ndarray, t: float) -> int:
+    """Index of the sampled time t in a trajectory's `times`."""
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > 1e-12 * max(1.0, abs(t)):
+        raise ParameterError(f"t = {t!r} is not one of the sampled times")
+    return i
 
 
 def _check_block_budget(L: int, n_blocks: int, n_times: int, budget: int):
@@ -71,7 +82,7 @@ def _check_block_budget(L: int, n_blocks: int, n_times: int, budget: int):
     need = 3 * (L + 1) ** 2 * 8 + n_blocks * n_times * (L + 1) * 16
     if need > budget:
         raise SizeError(
-            f"dense evolution needs ~{need / 2**20:.0f} MiB "
+            f"dense K-block work needs ~{need / 2**20:.0f} MiB "
             f"(budget {budget / 2**20:.0f} MiB); reduce L or the sample count"
         )
 
@@ -94,14 +105,8 @@ class KBlockTrajectory:
     psi_e: np.ndarray
     phi: np.ndarray
 
-    def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-12 * max(1.0, abs(t)):
-            raise ParameterError(f"t = {t!r} is not one of the sampled times")
-        return i
-
     def state_at(self, t: float) -> KBlockState:
-        i = self.index_of(t)
+        i = _time_index(self.times, t)
         return KBlockState(K=self.K, psi_e=complex(self.psi_e[i]), phi=self.phi[i])
 
     def norms(self) -> np.ndarray:
@@ -117,19 +122,20 @@ def _evolve_block(h: np.ndarray, v0: np.ndarray, times: np.ndarray
     return amps[0, :], amps[1:, :].T
 
 
-def _check_times(times: np.ndarray):
+def _checked_times(times) -> np.ndarray:
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or times.size == 0:
         raise ParameterError("times must be a non-empty 1-D array")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ParameterError("times must be sorted and nonnegative")
+    return times
 
 
 def evolve_fixed_K(params: ModelParams, K: float, times,
                    psi_e0: complex = 1.0, phi0: np.ndarray | None = None,
                    memory_budget: int = DEFAULT_MEMORY_BUDGET) -> KBlockTrajectory:
     """Evolve one K block exactly; default initial state is the excited emitter."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    _check_times(times)
+    times = _checked_times(times)
     _check_block_budget(params.L, 1, times.size, memory_budget)
     v0 = np.zeros(params.L + 1, dtype=complex)
     v0[0] = psi_e0
@@ -148,7 +154,7 @@ def photon_spectrum_and_directionality(traj: KBlockTrajectory, t: float
     are left out of the directional sums.  Returns D = None when nothing has
     been emitted.
     """
-    i = traj.index_of(t)
+    i = _time_index(traj.times, t)
     n_p = np.abs(traj.phi[i]) ** 2
     total = float(n_p.sum())
     if total == 0.0:
@@ -169,12 +175,12 @@ def spectrum_peaks(p: np.ndarray, n_p: np.ndarray, n_peaks: int = 2) -> list[flo
 
 
 def asymptotic_momenta(params: ModelParams, K: float) -> tuple[float, float] | None:
-    """Long-time emitted photon momenta p_+- at fixed K, or None out of band.
+    """Long-time emitted photon momenta (p_+, p_-) at fixed K, or None out of band.
 
     The on-shell condition E_{K,Delta} = -2|z(K)| cos(p + arg z) has the two
-    roots +-arccos(-E/2|z|) - arg z.  The +-px labels follow the arctangent
-    form arctan[(-2 Im z^2 +- E sqrt(4|z|^2-E^2)) / (E^2 - 4 J'^2 sin^2 K)]
-    with the arctangent branch fixed by verifying the on-shell condition.
+    roots p_+ = -alpha - arg z and p_- = alpha - arg z with
+    alpha = arccos(-E/2|z|) in [0, pi]; the labels are continuous (mod 2 pi)
+    in (Delta, J', K) wherever the emitter level is embedded.
     """
     e = float(gap_energy(params, K))
     z = complex(z_of_K(params, K))
@@ -183,24 +189,7 @@ def asymptotic_momenta(params: ModelParams, K: float) -> tuple[float, float] | N
         return None
     alpha = math.acos(max(-1.0, min(1.0, -e / b)))
     phi = np.angle(z)
-    roots = (wrap(alpha - phi), wrap(-alpha - phi))
-
-    num_comm = -2.0 * (z * z).imag
-    sq = math.sqrt(max(0.0, b * b - e * e))
-    den = e * e - 4.0 * params.Jp**2 * math.sin(K) ** 2
-    labelled = []
-    for sgn in (+1.0, -1.0):
-        num = num_comm + sgn * e * sq
-        theta = math.pi / 2.0 * (1.0 if num >= 0 else -1.0) if den == 0.0 \
-            else math.atan(num / den)
-        cand = min((wrap(theta), wrap(theta + math.pi)),
-                   key=lambda pp: abs(omega_tilde(params, K, pp) - e))
-        labelled.append(min(roots, key=lambda rr: abs(wrap(rr - cand))))
-    if labelled[0] == labelled[1]:
-        # Both arctangent branches are on shell (E = 0 case): fall back to
-        # the closed-form ordering.
-        labelled = list(roots)
-    return labelled[0], labelled[1]
+    return wrap(-alpha - phi), wrap(alpha - phi)
 
 
 def markov_rate(params: ModelParams, K: float) -> float:
@@ -251,8 +240,6 @@ class EmissionWindows:
     Delta/4 - J/2.
     """
 
-    delta: float
-    jp: float
     regime: str
     windows: tuple[tuple[float, float], ...]
     w_plus: float | None
@@ -315,19 +302,11 @@ def classify_regime_and_windows(params: ModelParams, n_scan: int = 4001,
                 k_out = mid
         return 0.5 * (k_out + k_in)
 
-    half: list[tuple[float, float]] = []
-    i = 0
-    while i < n_scan:
-        if inside[i]:
-            j = i
-            while j + 1 < n_scan and inside[j + 1]:
-                j += 1
-            lo = ks[i] if i == 0 else refine(ks[i - 1], ks[i])
-            hi = ks[j] if j == n_scan - 1 else refine(ks[j + 1], ks[j])
-            half.append((lo, hi))
-            i = j + 1
-        else:
-            i += 1
+    # Runs of embedded scan points, from the first to the last index of each.
+    steps = np.diff(np.concatenate(([0], inside.astype(int), [0])))
+    half = [(ks[i] if i == 0 else refine(ks[i - 1], ks[i]),
+             ks[j] if j == n_scan - 1 else refine(ks[j + 1], ks[j]))
+            for i, j in zip(np.flatnonzero(steps > 0), np.flatnonzero(steps < 0) - 1)]
 
     windows: list[tuple[float, float]] = []
     for lo, hi in half:
@@ -347,8 +326,7 @@ def classify_regime_and_windows(params: ModelParams, n_scan: int = 4001,
     else:
         regime = "selective"
 
-    w_plus = None
-    w_minus = None
+    w_plus = w_minus = None
     for lo, hi in half:
         if lo == 0.0 and hi < math.pi:
             w_plus = hi
@@ -357,8 +335,6 @@ def classify_regime_and_windows(params: ModelParams, n_scan: int = 4001,
             break
 
     return EmissionWindows(
-        delta=params.Delta,
-        jp=params.Jp,
         regime=regime,
         windows=tuple(windows),
         w_plus=w_plus,
@@ -393,12 +369,6 @@ class LocalizedRun:
     psi_e: np.ndarray
     phi: np.ndarray
 
-    def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-12 * max(1.0, abs(t)):
-            raise ParameterError(f"t = {t!r} is not one of the sampled times")
-        return i
-
     def block_trajectory(self, m: int) -> KBlockTrajectory:
         """Trajectory of the m-th momentum block (unit initial excitation)."""
         kgrid = momentum_grid(self.params.L)
@@ -418,14 +388,11 @@ def evolve_localized(params: ModelParams, x0: int, times,
                      threads: int | None = None,
                      memory_budget: int = DEFAULT_MEMORY_BUDGET) -> LocalizedRun:
     """Evolve every K block for an emitter initially excited at site x0."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    _check_times(times)
+    times = _checked_times(times)
     L = params.L
     _check_block_budget(L, L, times.size, memory_budget)
     kgrid = momentum_grid(L)
     c = np.exp(1j * kgrid * x0) / math.sqrt(L)
-    psi_e = np.empty((times.size, L), dtype=complex)
-    phi = np.empty((times.size, L, L), dtype=complex)
 
     v0 = np.zeros(L + 1, dtype=complex)
     v0[0] = 1.0
@@ -439,11 +406,10 @@ def evolve_localized(params: ModelParams, x0: int, times,
             results = list(pool.map(run, range(L)))
     else:
         results = [run(m) for m in range(L)]
-    for m, (pe, ph) in enumerate(results):  # fixed K order: deterministic output
-        psi_e[:, m] = pe
-        phi[:, m, :] = ph
+    # Stacked in fixed K order: deterministic output.
     return LocalizedRun(params=params, x0=int(x0), times=times, c=c,
-                        psi_e=psi_e, phi=phi)
+                        psi_e=np.stack([pe for pe, _ in results], axis=1),
+                        phi=np.stack([ph for _, ph in results], axis=1))
 
 
 def wavefront_position(x: np.ndarray, profile: np.ndarray,
@@ -501,10 +467,10 @@ def position_observables(run: LocalizedRun, t: float) -> PositionObservables:
     the conjugate phases placing an emitter built from c_K = e^{i K x0} at
     +x0.  Satisfies sum_x N = sum_x P_g and sum_x (P_e + P_g) = 1.
     """
-    it = run.index_of(t)
+    it = _time_index(run.times, t)
     L = run.params.L
     idx = np.arange(L)
-    ksum = (idx[:, None] + idx[None, :] - L // 2) % L  # index of k_g + p
+    ksum = grid_add_index(idx[:, None], idx[None, :], L)  # index of k_g + p
     b_joint = run.c[ksum] * run.phi[it][ksum, idx[None, :]]
 
     # e^{-i p_n x} = e^{i pi x} e^{-2 pi i n x / L}: the prefactor drops in |.|^2.

@@ -60,6 +60,10 @@ class ModelParams:
     L: int = 400
 
     def __post_init__(self):
+        for name in ("J", "Jp", "Delta", "Omega"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite (got {value})")
         if not self.J > 0:
             raise ParameterError(f"J must be > 0 (got {self.J})")
         if self.Jp < 0:
@@ -140,31 +144,6 @@ def gap_energy(params: ModelParams, K):
     return params.Delta + xi_emitter(params, K)
 
 
-@dataclass(frozen=True)
-class BandPoint:
-    """Band quantities at fixed (K, p); the emitter momentum is k = K - p."""
-
-    omega_p: float
-    xi_k: float
-    omega_tilde: float
-    gap: float
-    v_ph: float
-    v_qb: float
-
-
-def evaluate_bands(params: ModelParams, K: float, p: float) -> BandPoint:
-    """Evaluate dispersions, the effective band and gap, and group velocities."""
-    k = K - p
-    return BandPoint(
-        omega_p=float(omega_photon(params, p)),
-        xi_k=float(xi_emitter(params, k)),
-        omega_tilde=float(omega_tilde(params, K, p)),
-        gap=float(gap_energy(params, K)),
-        v_ph=float(v_photon(params, p)),
-        v_qb=float(v_emitter(params, k)),
-    )
-
-
 def band_extrema(params: ModelParams, K: float) -> tuple[float, float, float, float]:
     """Extrema of the effective band at fixed K.
 
@@ -205,12 +184,9 @@ def _poles(z: complex, E: float, b: float) -> tuple[complex, complex]:
     """
     if abs(E) > b:
         sq = math.sqrt((abs(E) - b) * (abs(E) + b))
-        if E > 0:
-            y_in = -2.0 * z.conjugate() / (E + sq)
-            y_out = -(E + sq) / (2.0 * z)
-        else:
-            y_in = 2.0 * z.conjugate() / (-E + sq)
-            y_out = (-E + sq) / (2.0 * z)
+        sign = math.copysign(1.0, E)
+        y_in = -sign * 2.0 * z.conjugate() / (abs(E) + sq)
+        y_out = -sign * (abs(E) + sq) / (2.0 * z)
     else:
         sq = math.sqrt((b - E) * (b + E))
         y_in = (-E + 1j * sq) / (2.0 * z)

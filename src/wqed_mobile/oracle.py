@@ -5,7 +5,8 @@ the package's closed forms (self-energy, scattering amplitudes, bound-state
 roots) in the loop:
 
 * dense_block_diagonalize - full real-symmetric eigendecomposition of one
-  (L+1) x (L+1) momentum block; its extremal eigenvalues and excited-state
+  (L+1) x (L+1) momentum block, the matrix dynamics.block_hamiltonian builds
+  under the same memory budget; its extremal eigenvalues and excited-state
   weights check the bound-state solver, and its completeness checks the
   scattering + bound-state resolution of identity.
 
@@ -25,9 +26,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
-from .errors import OracleInvalid, ParameterError, SizeError
+from .dynamics import DEFAULT_MEMORY_BUDGET, _check_block_budget, block_hamiltonian
+from .errors import OracleInvalid, ParameterError
 from .model import (
     ModelParams,
     gap_energy,
@@ -38,9 +39,6 @@ from .model import (
     v_photon,
     wrap,
 )
-
-#: Dense-oracle memory budget (matrix + eigenvectors).
-DENSE_BUDGET_BYTES = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -55,27 +53,17 @@ class BlockSpectrum:
         return int(np.count_nonzero(np.abs(self.eigenvalues) > halfwidth + margin))
 
 
-def _dense_block(params: ModelParams, K: float) -> np.ndarray:
-    L = params.L
-    if 3 * (L + 1) ** 2 * 8 > DENSE_BUDGET_BYTES:
-        raise SizeError(f"dense block of size {L + 1} exceeds the memory budget")
-    h = np.zeros((L + 1, L + 1))
-    h[0, 0] = gap_energy(params, K)
-    idx = np.arange(1, L + 1)
-    h[idx, idx] = omega_tilde(params, K, momentum_grid(L))
-    h[0, 1:] = h[1:, 0] = params.Omega / math.sqrt(L)
-    return h
-
-
 def dense_block_diagonalize(params: ModelParams, K: float) -> BlockSpectrum:
     """Full eigendecomposition of the K block; weights are |<K|v_n>|^2."""
-    w, v = np.linalg.eigh(_dense_block(params, K))
+    _check_block_budget(params.L, 0, 0, DEFAULT_MEMORY_BUDGET)
+    w, v = np.linalg.eigh(block_hamiltonian(params, K))
     return BlockSpectrum(K=float(K), eigenvalues=w, weights=np.abs(v[0, :]) ** 2)
 
 
 def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
     """Eigenvalues only (ascending); cheaper than the full decomposition."""
-    return np.linalg.eigvalsh(_dense_block(params, K))
+    _check_block_budget(params.L, 0, 0, DEFAULT_MEMORY_BUDGET)
+    return np.linalg.eigvalsh(block_hamiltonian(params, K))
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +88,8 @@ def chebyshev_evolve_blocks(diag: np.ndarray, e_gap: np.ndarray, coupling: float
     Chebyshev scaling.  Terms are summed until the Bessel coefficients fall
     below tol, so the result carries no time-step error.
     """
+    from scipy.special import jv  # scipy is needed only by this oracle
+
     if t == 0.0:
         return phi0.copy(), psi_e0.copy()
     n_blocks, L = phi0.shape

@@ -87,13 +87,13 @@ def _scatter_arrays(params: ModelParams, k_i: np.ndarray, p_i: np.ndarray):
     degenerate = (np.abs(half_vdiff) <= DEGENERACY_TOL) & (om2 > 0.0)
     gamma = np.where(degenerate, math.inf, om2 / (2.0 * np.where(
         np.abs(half_vdiff) > DEGENERACY_TOL, half_vdiff, 1.0)))
-    denom = detuning + 1j * np.where(degenerate, 0.0, gamma)
+    safe_gamma = np.where(degenerate, 0.0, gamma)
+    denom = detuning + 1j * safe_gamma
     # denom == 0 only when Omega = 0 exactly on resonance: free propagation.
     free = ~degenerate & (denom == 0.0)
     safe = np.where(degenerate | free, 1.0, denom)
     t = np.where(degenerate, 0.0 + 0.0j, np.where(free, 1.0 + 0.0j, detuning / safe))
-    r = np.where(degenerate, -1.0 + 0.0j,
-                 np.where(free, 0.0j, -1j * np.where(degenerate, 0.0, gamma) / safe))
+    r = np.where(degenerate, -1.0 + 0.0j, np.where(free, 0.0j, -1j * safe_gamma / safe))
 
     # Inelastic momentum: sign-prefixed arccos, then verify on-shell and fall
     # back to the mirror branch if the prefactor picked the spurious root.

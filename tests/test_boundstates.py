@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqed_mobile import (
     BandEdgeSingularity,
@@ -273,3 +274,40 @@ def test_weight_matches_dense_eigenvector_weight():
 def test_band_scan_requires_enough_points():
     with pytest.raises(ParameterError):
         band_scan(GENERIC, 4)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(jp=st.floats(0.0, 2.0), delta=st.floats(-5.0, 5.0),
+       log_omega=st.floats(math.log(1e-6), math.log(3.0)),
+       K=st.floats(-math.pi, math.pi), branch=st.sampled_from((+1, -1)))
+def test_solver_invariants_property(jp, delta, log_omega, K, branch):
+    params = ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=math.exp(log_omega), L=400)
+    bound = solve_bound_state(params, K, branch)
+    assert pole_residual(params, bound) <= 1e-12 * max(1.0, abs(bound.energy))
+    assert bound.edge_offset > 0.0
+    assert 0.0 < bound.u <= 1.0
+    assert abs(bound.y_in) < 1.0
+    assert math.isfinite(bound.loc_length) and bound.loc_length > 0.0
+
+
+@pytest.mark.parametrize("omega", [3e-4, 1e-4, 1e-6])
+def test_weak_coupling_state_resolves_the_band_edge(omega):
+    # The root sits so close to the band edge that `energy` rounds onto it;
+    # the pole, localization length and photon density still follow from
+    # the edge offset.
+    for jp, delta in ((0.5, 0.0), (0.0, 0.0)):
+        params = ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=omega, L=400)
+        for K in np.linspace(-math.pi, math.pi, 21):
+            for branch in (+1, -1):
+                bound = solve_bound_state(params, K, branch)
+                _, field, density = bound_wavefunctions(params, bound, 3)
+                assert abs(bound.y_in) < 1.0
+                assert math.isfinite(bound.loc_length) and bound.loc_length > 0.0
+                assert math.isfinite(density) and density > 0.0
+                assert np.all(np.isfinite(field.amp))
+
+
+def test_wavefunction_rejects_negative_range():
+    bound = solve_bound_state(GENERIC, 0.3, +1)
+    with pytest.raises(ParameterError, match="x_max"):
+        bound_wavefunctions(GENERIC, bound, -3)

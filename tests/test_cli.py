@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wqed_mobile.cli import main
+import wqed_mobile
+from wqed_mobile.cli import COMMANDS, main
 
 
 def _read_csv(path):
@@ -171,3 +176,78 @@ def test_selfcheck(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_weak_coupling_bound_states_exit_0(tmp_path, monkeypatch):
+    # The roots round onto the band edge here; every output stays finite.
+    monkeypatch.chdir(tmp_path)
+    assert main(["bound-energies", "--Jp", "0.5", "--Omega", "1e-4", "--Delta", "0",
+                 "--nK", "21"]) == 0
+    assert main(["bound-wavefunction", "--K", "0.5", "--Jp", "0.5", "--Omega", "1e-6",
+                 "--Delta", "0", "--xmax", "5"]) == 0
+    for name in ("bound-energies", "bound-wavefunction"):
+        _, rows = _read_csv(tmp_path / f"{name}.csv")
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
+    meta = json.loads((tmp_path / "bound-wavefunction.json").read_text())
+    assert math.isfinite(meta["loc_length"]) and meta["loc_length"] > 0
+    assert math.isfinite(meta["photon_density"]) and meta["photon_density"] > 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["map-transmission", "--Omega", "nan", "--nk", "3", "--np", "3"], "Omega"),
+    (["windows", "--Delta=-inf"], "Delta"),
+    (["scatter", "--ki", "nan", "--pi", "1"], "ki"),
+    (["emit-localized", "--L", "8", "--tmax", "nan"], "tmax"),
+    (["emit-localized", "--L", "8", "--snapshot", "1", "--snapshot", "inf"], "snapshot"),
+])
+def test_non_finite_flags_exit_2(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_malformed_threads_env_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("WQED_THREADS", "abc")
+    assert main(["map-transmission", "--nk", "3", "--np", "3"]) == 2
+    assert "WQED_THREADS" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_xmax_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["bound-wavefunction", "--K", "0", "--Jp", "0.5", "--xmax", "-3"]) == 2
+    assert "x_max must be >= 0" in capsys.readouterr().err
+
+
+def test_snapshots_sharing_a_file_name_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["emit-localized", "--L", "8", "--tmax", "1", "--nt", "3",
+                 "--snapshot", "0.5", "--snapshot", "0.5000001"]) == 2
+    err = capsys.readouterr().err
+    assert "0.5" in err and "0.5000001" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_command_has_help(capsys):
+    with pytest.raises(SystemExit) as top:
+        main(["--help"])
+    assert top.value.code == 0
+    listing = capsys.readouterr().out
+    for cmd in COMMANDS:
+        assert cmd.name in listing
+        with pytest.raises(SystemExit) as sub:
+            main([cmd.name, "--help"])
+        assert sub.value.code == 0
+        assert f"usage: wqed {cmd.name}" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(wqed_mobile.__file__).resolve().parents[1])
+    code = ("import sys, wqed_mobile; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -93,6 +93,21 @@ def test_asymptotic_momenta_kpi3_labels():
     assert pm[1] == pytest.approx(1.71, abs=1e-2)
 
 
+@pytest.mark.parametrize("jp, delta, K", [
+    (0.0, 0.0, 0.0),               # E = 0
+    (0.5, -1.0, math.pi / 2),      # E^2 = 4 J'^2 sin^2 K
+    (0.5, -1.0, -math.pi / 2),
+])
+def test_asymptotic_momenta_labels_continuous(jp, delta, K):
+    # The labels at the special points equal their limits from both sides,
+    # in Delta and in K.
+    at = asymptotic_momenta(ModelParams(Jp=jp, Delta=delta, Omega=0.2), K)
+    for d_delta, d_k in ((1e-9, 0.0), (-1e-9, 0.0), (0.0, 1e-9), (0.0, -1e-9)):
+        near = asymptotic_momenta(ModelParams(Jp=jp, Delta=delta + d_delta, Omega=0.2),
+                                  K + d_k)
+        assert near == pytest.approx(at, abs=1e-6)
+
+
 def test_asymptotic_momenta_out_of_band():
     params = ModelParams(J=1.0, Jp=0.5, Delta=4.2, Omega=0.2, L=64)
     assert asymptotic_momenta(params, math.pi) is None

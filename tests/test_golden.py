@@ -6,7 +6,9 @@
   and `threads` (the latter follows os.cpu_count()); scatter's `result`
   block is compared exactly;
 * bound-energies and bound-wavefunction values are pinned to a relative
-  1e-12, the precision of the bound-state root;
+  1e-12, the precision of the bound-state root, above an absolute 1e-15 for
+  entries that are zero in closed form and rounding residue in practice
+  (Im f(0) and its phase);
 * emit-fixed-k and emit-localized values are pinned to 1e-10, because their
   last digits depend on the BLAS build.
 
@@ -40,13 +42,13 @@ CASES = {
                 [""], None),
     "windows-lower": (["windows", "--Jp", "1.2", "--Delta", "-3"], [""], None),
     "bound-energies": (["bound-energies", "--Jp", "0.5", "--Omega", "1",
-                        "--nK", "16", "--L", "64"], [""], (1e-12, 0.0)),
+                        "--nK", "16", "--L", "64"], [""], (1e-12, 1e-15)),
     "bound-wavefunction": (["bound-wavefunction", "--K", "1.0471975512",
                             "--Jp", "0.5", "--Omega", "1", "--branch", "minus",
-                            "--xmax", "10", "--L", "64"], [""], (1e-12, 0.0)),
+                            "--xmax", "10", "--L", "64"], [""], (1e-12, 1e-15)),
     "bound-wavefunction-plus": (["bound-wavefunction", "--K", "2.5", "--Jp", "0.3",
                                  "--Omega", "0.4", "--Delta", "-1", "--xmax", "8"],
-                                [""], (1e-12, 0.0)),
+                                [""], (1e-12, 1e-15)),
     "emit-fixed-k": (["emit-fixed-k", "--K", "1", "--Jp", "0.5", "--Omega", "0.2",
                       "--L", "64", "--tmax", "30", "--nt", "11"],
                      ["_pe", "_np"], (1e-10, 1e-10)),

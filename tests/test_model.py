@@ -16,7 +16,6 @@ from wqed_mobile import (
     ParameterError,
     band_extrema,
     band_halfwidth,
-    evaluate_bands,
     gap_energy,
     momentum_grid,
     omega_photon,
@@ -46,6 +45,13 @@ def test_params_validation():
         ModelParams(L=2)
 
 
+@pytest.mark.parametrize("field", ["J", "Jp", "Delta", "Omega"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be finite"):
+        ModelParams(**{field: value})
+
+
 def test_wrap_invariants():
     rng = np.random.default_rng(0)
     v = rng.uniform(-40.0, 40.0, size=500)
@@ -69,12 +75,11 @@ def test_grid_closed_under_index_arithmetic():
 
 def test_band_bottom_point():
     params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=8)
-    bp = evaluate_bands(params, 0.0, 0.0)
-    assert bp.omega_p == -2.0
-    assert bp.xi_k == -1.0
-    assert bp.omega_tilde == -3.0
-    assert bp.v_ph == 0.0
-    assert bp.gap == -1.0  # effective emitter level at K = 0, Delta = 0
+    assert omega_photon(params, 0.0) == -2.0
+    assert xi_emitter(params, 0.0) == -1.0  # emitter momentum k = K - p = 0
+    assert omega_tilde(params, 0.0, 0.0) == -3.0
+    assert v_photon(params, 0.0) == 0.0
+    assert gap_energy(params, 0.0) == -1.0  # effective emitter level at K = 0, Delta = 0
 
 
 def test_group_velocities_against_finite_differences():
