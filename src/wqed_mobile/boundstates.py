@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandEdgeSingularity, NoBoundState, NumericalFailure, ParameterError
+from .errors import (BandEdgeSingularity, NoBoundState, NumericalFailure, ParameterError,
+                     check_memory)
 from .model import (
     ModelParams,
     band_halfwidth,
@@ -193,6 +194,8 @@ def bound_wavefunctions(params: ModelParams, bound: BoundState, x_max: int
     """
     if x_max < 0:
         raise ParameterError(f"x_max must be >= 0 (got {x_max})")
+    n_x = 2 * x_max + 1  # about six complex arrays per site, output columns included
+    check_memory(n_x * 6 * 16, f"the wavefunction on {n_x} sites", "reduce x_max")
     L = params.L
     p = momentum_grid(L)
     f_p = (params.Omega / math.sqrt(L)) * bound.u / (
@@ -204,7 +207,8 @@ def bound_wavefunctions(params: ModelParams, bound: BoundState, x_max: int
     d, sq = _resolved_offset(b, bound.energy, bound.edge_offset)
     y_out = -bound.branch * (abs(bound.energy) + sq) / (2.0 * z)
     x = np.arange(-x_max, x_max + 1)
-    c_plus = params.Omega * bound.u / (z * (bound.y_in - y_out))
+    # z (y_< - y_>) = branch sq, used only where y_< and y_> round to one value.
+    c_plus = params.Omega * bound.u / (z * (bound.y_in - y_out) or bound.branch * sq)
     decay = c_plus * bound.y_in ** np.abs(x)
     amp = np.where(x >= 0, decay, np.conj(decay))
     field = WavefunctionField(x=x, amp=amp)

@@ -85,7 +85,6 @@ def write_sidecar(path: str, args: argparse.Namespace, params: ModelParams,
         "version": __version__,
         "command": args.command,
         "params": asdict(params),
-        "threads": resolve_threads(getattr(args, "threads", None)),
         "wall_time_s": time.perf_counter() - t_start,
     }
     meta.update(_jsonable(extra))
@@ -104,7 +103,8 @@ _MODEL_FLAGS = (
     ("--out", dict(type=str, default=None,
                    help="output prefix (default: the subcommand name)")),
     ("--threads", dict(type=int, default=None,
-                       help="worker threads for per-K loops (WQED_THREADS caps it)")),
+                       help="validated and echoed only: K blocks run in one loop, "
+                            "BLAS threads parallelise each (WQED_THREADS caps it)")),
 )
 
 
@@ -146,8 +146,14 @@ def _bound_wavefunction(args, params):
              "photon_density": density})
 
 
+def _time_grid(args) -> np.ndarray:
+    if args.nt < 0:
+        raise ParameterError(f"--nt must be >= 0 (got {args.nt})")
+    return np.linspace(0.0, args.tmax, args.nt)
+
+
 def _emit_fixed_k(args, params):
-    times = np.linspace(0.0, args.tmax, args.nt)
+    times = _time_grid(args)
     traj = evolve_fixed_K(params, args.K, times)
     n_p, direction = photon_spectrum_and_directionality(traj, args.tmax)
     try:
@@ -166,7 +172,7 @@ def _emit_fixed_k(args, params):
 
 
 def _emit_localized(args, params):
-    times = np.linspace(0.0, args.tmax, args.nt)
+    times = _time_grid(args)
     snapshots = args.snapshot if args.snapshot else [args.tmax]
     named = {}
     for s in snapshots:
@@ -175,7 +181,7 @@ def _emit_localized(args, params):
                                  f"would both write _x_t{s:g}.csv")
         if not np.any(np.abs(times - s) <= 1e-12 * max(1.0, s)):
             times = np.sort(np.append(times, s))
-    run = evolve_localized(params, args.x0, times, threads=args.threads)
+    run = evolve_localized(params, args.x0, times)
     tables = {"_pe": (["t", "P_e_total"], [run.times, run.pe_total()])}
     for s in snapshots:
         obs = position_observables(run, s)
@@ -202,13 +208,13 @@ def _writes(compute):
                     raise ParameterError(f"--{name} must be finite (got {v})")
         params = ModelParams(J=args.J, Jp=args.Jp, Delta=args.Delta,
                              Omega=args.Omega, L=args.L)
-        resolve_threads(args.threads)  # rejects a malformed WQED_THREADS up front
+        threads = resolve_threads(args.threads)  # a malformed WQED_THREADS exits 2 here
         t0 = time.perf_counter()
         tables, fields = compute(args, params)
         out = args.out if args.out else args.command
         for suffix, (header, columns) in tables.items():
             write_csv(f"{out}{suffix}.csv", header, columns)
-        write_sidecar(f"{out}.json", args, params, t0, **fields)
+        write_sidecar(f"{out}.json", args, params, t0, threads=threads, **fields)
         return 0
     return run
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import (
     BandEdgeSingularity,
     NotEmbedded,
     ParameterError,
-    SizeError,
+    check_memory,
 )
 from .model import (
     ModelParams,
@@ -39,12 +38,10 @@ from .model import (
     z_of_K,
 )
 
-#: Dense-evolution memory budget (Hamiltonian + eigenvectors + trajectories).
-DEFAULT_MEMORY_BUDGET = 2 << 30
-
 
 def resolve_threads(requested: int | None = None) -> int:
-    """Worker count for per-K parallel loops; WQED_THREADS caps it."""
+    """The --threads request capped by WQED_THREADS; the CLI validates and echoes
+    it, but K blocks evolve in one loop and only BLAS threads run."""
     n = requested if requested else (os.cpu_count() or 1)
     cap = os.environ.get("WQED_THREADS")
     if cap:
@@ -77,14 +74,10 @@ def _time_index(times: np.ndarray, t: float) -> int:
     return i
 
 
-def _check_block_budget(L: int, n_blocks: int, n_times: int, budget: int):
+def _check_block_budget(L: int, n_blocks: int, n_times: int):
     # One block's eigh working set plus all stored trajectories.
-    need = 3 * (L + 1) ** 2 * 8 + n_blocks * n_times * (L + 1) * 16
-    if need > budget:
-        raise SizeError(
-            f"dense K-block work needs ~{need / 2**20:.0f} MiB "
-            f"(budget {budget / 2**20:.0f} MiB); reduce L or the sample count"
-        )
+    check_memory(3 * (L + 1) ** 2 * 8 + n_blocks * n_times * (L + 1) * 16,
+                 "dense K-block work", "reduce L or the sample count")
 
 
 @dataclass(frozen=True)
@@ -132,11 +125,11 @@ def _checked_times(times) -> np.ndarray:
 
 
 def evolve_fixed_K(params: ModelParams, K: float, times,
-                   psi_e0: complex = 1.0, phi0: np.ndarray | None = None,
-                   memory_budget: int = DEFAULT_MEMORY_BUDGET) -> KBlockTrajectory:
+                   psi_e0: complex = 1.0, phi0: np.ndarray | None = None
+                   ) -> KBlockTrajectory:
     """Evolve one K block exactly; default initial state is the excited emitter."""
     times = _checked_times(times)
-    _check_block_budget(params.L, 1, times.size, memory_budget)
+    _check_block_budget(params.L, 1, times.size)
     v0 = np.zeros(params.L + 1, dtype=complex)
     v0[0] = psi_e0
     if phi0 is not None:
@@ -384,32 +377,25 @@ class LocalizedRun:
         return np.sum(np.abs(self.c[None, :]) ** 2 * pops, axis=1)
 
 
-def evolve_localized(params: ModelParams, x0: int, times,
-                     threads: int | None = None,
-                     memory_budget: int = DEFAULT_MEMORY_BUDGET) -> LocalizedRun:
+def evolve_localized(params: ModelParams, x0: int, times) -> LocalizedRun:
     """Evolve every K block for an emitter initially excited at site x0."""
     times = _checked_times(times)
     L = params.L
-    _check_block_budget(L, L, times.size, memory_budget)
+    _check_block_budget(L, L, times.size)
     kgrid = momentum_grid(L)
     c = np.exp(1j * kgrid * x0) / math.sqrt(L)
 
     v0 = np.zeros(L + 1, dtype=complex)
     v0[0] = 1.0
-
-    def run(m: int):
-        return _evolve_block(block_hamiltonian(params, kgrid[m]), v0, times)
-
-    n_workers = resolve_threads(threads)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, range(L)))
-    else:
-        results = [run(m) for m in range(L)]
-    # Stacked in fixed K order: deterministic output.
+    psi_e = np.empty((times.size, L), dtype=complex)
+    phi = np.empty((times.size, L, L), dtype=complex)
+    for m, K in enumerate(kgrid):
+        # pe, ph stay alive while the next block runs, so glibc does not trim the
+        # heap and re-fault eigh's workspace every block (~1,500 faults at L = 400).
+        pe, ph = _evolve_block(block_hamiltonian(params, K), v0, times)
+        psi_e[:, m], phi[:, m, :] = pe, ph
     return LocalizedRun(params=params, x0=int(x0), times=times, c=c,
-                        psi_e=np.stack([pe for pe, _ in results], axis=1),
-                        phi=np.stack([ph for _, ph in results], axis=1))
+                        psi_e=psi_e, phi=phi)
 
 
 def wavefront_position(x: np.ndarray, profile: np.ndarray,
@@ -422,24 +408,16 @@ def wavefront_position(x: np.ndarray, profile: np.ndarray,
     """
     x = np.asarray(x)
     profile = np.asarray(profile, dtype=float)
-    r_max = int(np.max(np.abs(x)))
-    folded = np.zeros(r_max + 1)
-    for xi, vi in zip(np.abs(x), profile):
-        folded[xi] = max(folded[xi], vi)
-    floor = lobe_floor * folded.max()
-    lobe = None
-    for i in range(r_max - 1, 0, -1):
-        if folded[i] > floor and folded[i] >= folded[i - 1] and folded[i] >= folded[i + 1]:
-            lobe = i
-            break
-    if lobe is None:
+    folded = np.zeros(int(np.max(np.abs(x))) + 1)
+    np.maximum.at(folded, np.abs(x), profile)
+    mid = folded[1:-1]
+    lobes = np.flatnonzero((mid > lobe_floor * folded.max())
+                           & (mid >= folded[:-2]) & (mid >= folded[2:])) + 1
+    if lobes.size == 0:
         raise ParameterError("profile has no resolvable leading lobe")
-    front = lobe
-    for i in range(r_max, lobe, -1):
-        if folded[i] >= edge_frac * folded[lobe]:
-            front = i
-            break
-    return front
+    lobe = int(lobes[-1])
+    reached = np.flatnonzero(folded[lobe + 1:] >= edge_frac * folded[lobe])
+    return lobe + 1 + int(reached[-1]) if reached.size else lobe
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the memory budget shared across the package."""
+
+#: Memory budget of every dense request (matrices, eigenvectors, trajectories).
+DEFAULT_MEMORY_BUDGET = 2 << 30
 
 
 class ParameterError(ValueError):
@@ -32,3 +35,10 @@ class SizeError(RuntimeError):
 class OracleInvalid(UserWarning):
     """The wavepacket oracle was configured outside its validity window
     (e.g. packet overlapping a band edge); results may be unreliable."""
+
+
+def check_memory(need: int, work: str, remedy: str) -> None:
+    """Raise SizeError before allocating when `work` needs more than the budget."""
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise SizeError(f"{work} needs ~{need / 2**20:.0f} MiB "
+                        f"(budget {DEFAULT_MEMORY_BUDGET / 2**20:.0f} MiB); {remedy}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DEFAULT_MEMORY_BUDGET, _check_block_budget, block_hamiltonian
+from .dynamics import _check_block_budget, block_hamiltonian
 from .errors import OracleInvalid, ParameterError
 from .model import (
     ModelParams,
@@ -55,14 +55,14 @@ class BlockSpectrum:
 
 def dense_block_diagonalize(params: ModelParams, K: float) -> BlockSpectrum:
     """Full eigendecomposition of the K block; weights are |<K|v_n>|^2."""
-    _check_block_budget(params.L, 0, 0, DEFAULT_MEMORY_BUDGET)
+    _check_block_budget(params.L, 0, 0)
     w, v = np.linalg.eigh(block_hamiltonian(params, K))
     return BlockSpectrum(K=float(K), eigenvalues=w, weights=np.abs(v[0, :]) ** 2)
 
 
 def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
     """Eigenvalues only (ascending); cheaper than the full decomposition."""
-    _check_block_budget(params.L, 0, 0, DEFAULT_MEMORY_BUDGET)
+    _check_block_budget(params.L, 0, 0)
     return np.linalg.eigvalsh(block_hamiltonian(params, K))
 
 
@@ -155,11 +155,6 @@ def _gaussian_packet(p: np.ndarray, center: float, sigma: float, x0: float
     return amp / np.linalg.norm(amp)
 
 
-def _circular_midpoints(p_a: float, p_b: float) -> tuple[float, float]:
-    mid = wrap(p_a + 0.5 * wrap(p_b - p_a))
-    return mid, wrap(mid + math.pi)
-
-
 def wavepacket_scattering_oracle(params: ModelParams, k0: float, p0: float,
                                  sigma_p: float, t_final: float,
                                  x_photon: float | None = None,
@@ -225,8 +220,10 @@ def wavepacket_scattering_oracle(params: ModelParams, k0: float, p0: float,
     near_p0 = np.abs(wrap(p - p0)) <= 10.0 * sigma_p
     i_refl = int(np.argmax(np.where(near_p0, -1.0, n_p)))
     p_refl_peak = float(p[i_refl])
-    m1, m2 = _circular_midpoints(p0, p_refl_peak)
-    # Transmitted arc: the side of the two midpoints containing p0.
+    # Transmitted arc: the side of the two circle midpoints of p0 and the
+    # reflected peak that contains p0.
+    m1 = wrap(p0 + 0.5 * wrap(p_refl_peak - p0))
+    m2 = wrap(m1 + math.pi)
     lo, hi = sorted((m1, m2))
     in_band = (p > lo) & (p <= hi)
     if not (lo < wrap(p0) <= hi):

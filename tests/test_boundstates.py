@@ -16,6 +16,7 @@ from wqed_mobile import (
     ModelParams,
     NoBoundState,
     ParameterError,
+    SizeError,
     band_halfwidth,
     band_scan,
     bound_wavefunctions,
@@ -311,3 +312,9 @@ def test_wavefunction_rejects_negative_range():
     bound = solve_bound_state(GENERIC, 0.3, +1)
     with pytest.raises(ParameterError, match="x_max"):
         bound_wavefunctions(GENERIC, bound, -3)
+
+
+def test_wavefunction_over_budget_raises_before_allocating():
+    bound = solve_bound_state(GENERIC, 0.3, +1)
+    with pytest.raises(SizeError, match="reduce x_max"):
+        bound_wavefunctions(GENERIC, bound, 10**11)

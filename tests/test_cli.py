@@ -185,6 +185,11 @@ def test_weak_coupling_bound_states_exit_0(tmp_path, monkeypatch):
                  "--nK", "21"]) == 0
     assert main(["bound-wavefunction", "--K", "0.5", "--Jp", "0.5", "--Omega", "1e-6",
                  "--Delta", "0", "--xmax", "5"]) == 0
+    # Here y_< and y_> round to the same value.
+    assert main(["bound-wavefunction", "--K", "0.9424777960769379", "--Jp", "0.5",
+                 "--Omega", "1e-8", "--xmax", "3", "--out", "y-equal"]) == 0
+    _, rows = _read_csv(tmp_path / "y-equal.csv")
+    assert len(rows) == 7 and all(math.isfinite(float(v)) for row in rows for v in row)
     for name in ("bound-energies", "bound-wavefunction"):
         _, rows = _read_csv(tmp_path / f"{name}.csv")
         assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
@@ -212,6 +217,30 @@ def test_malformed_threads_env_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WQED_THREADS", "abc")
     assert main(["map-transmission", "--nk", "3", "--np", "3"]) == 2
     assert "WQED_THREADS" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["emit-fixed-k", "--K", "0", "--L", "8", "--nt", "-1"],
+    ["emit-localized", "--L", "8", "--nt", "-1"],
+])
+def test_negative_nt_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "--nt must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["emit-localized", "--L", "4000", "--nt", "51"], "dense K-block work needs"),
+    (["bound-wavefunction", "--K", "0", "--xmax", "100000000000"],
+     "the wavefunction on 200000000001 sites needs"),
+])
+def test_over_memory_budget_exit_3(tmp_path, monkeypatch, capsys, argv, work):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert work in err and "(budget 2048 MiB)" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -74,8 +74,10 @@ def test_times_validation_and_size_budget():
         evolve_fixed_K(params, 0.0, [1.0, 0.5])
     with pytest.raises(ParameterError):
         evolve_fixed_K(params, 0.0, [-1.0, 0.5])
+    # Over the budget in the eigh working set alone; raised before any allocation.
     with pytest.raises(SizeError):
-        evolve_fixed_K(params, 0.0, [1.0], memory_budget=10_000)
+        evolve_fixed_K(ModelParams(J=1.0, Jp=0.1, Delta=0.0, Omega=0.1, L=20_000),
+                       0.0, [1.0])
 
 
 def test_asymptotic_momenta_k0():
@@ -315,6 +317,37 @@ def test_localized_wavefronts_small_lattice():
     assert np.abs(blk.norms() - 1.0).max() < 1e-9
 
 
+def _wavefront_loop(x, profile, lobe_floor, edge_frac):
+    """Site-by-site reference for wavefront_position."""
+    r_max = int(np.max(np.abs(x)))
+    folded = np.zeros(r_max + 1)
+    for xi, vi in zip(np.abs(x), profile):
+        folded[xi] = max(folded[xi], vi)
+    lobe = next((i for i in range(r_max - 1, 0, -1)
+                 if folded[i] > lobe_floor * folded.max()
+                 and folded[i] >= folded[i - 1] and folded[i] >= folded[i + 1]), None)
+    if lobe is None:
+        return None
+    return next((i for i in range(r_max, lobe, -1)
+                 if folded[i] >= edge_frac * folded[lobe]), lobe)
+
+
+def test_wavefront_position_matches_loop_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        L = 2 * int(rng.integers(2, 40))
+        x = np.arange(-L // 2, L // 2)
+        profile = rng.random(L) ** int(rng.integers(1, 30)) * (rng.random(L) < rng.random())
+        lobe_floor = float(rng.choice([1e-3, 0.1, 0.5]))
+        edge_frac = float(rng.choice([0.1, 0.5, 1.0, 1.5]))
+        expected = _wavefront_loop(x, profile, lobe_floor, edge_frac)
+        if expected is None:
+            with pytest.raises(ParameterError):
+                wavefront_position(x, profile, lobe_floor, edge_frac)
+        else:
+            assert wavefront_position(x, profile, lobe_floor, edge_frac) == expected
+
+
 def test_localized_static_emitter_recovers_fixed_case():
     # J' = 0: the emitter never moves (P_e stays a delta at x0) while the
     # photon front still runs at 2Jt.
@@ -329,7 +362,7 @@ def test_localized_static_emitter_recovers_fixed_case():
 
 def test_localized_threads_deterministic():
     params = ModelParams(J=1.0, Jp=0.3, Delta=0.5, Omega=0.4, L=64)
-    run1 = evolve_localized(params, 0, [11.0], threads=1)
-    run2 = evolve_localized(params, 0, [11.0], threads=2)
+    run1 = evolve_localized(params, 0, [11.0])
+    run2 = evolve_localized(params, 0, [11.0])
     assert np.array_equal(run1.psi_e, run2.psi_e)
     assert np.array_equal(run1.phi, run2.phi)
