@@ -25,6 +25,7 @@ the root exponentially close to the band edge.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,7 +38,6 @@ from .model import (
     band_halfwidth,
     gap_energy,
     momentum_grid,
-    omega_tilde,
     z_of_K,
 )
 
@@ -197,12 +197,14 @@ def bound_wavefunctions(params: ModelParams, bound: BoundState, x_max: int
     n_x = 2 * x_max + 1  # about six complex arrays per site, output columns included
     check_memory(n_x * 6 * 16, f"the wavefunction on {n_x} sites", "reduce x_max")
     L = params.L
-    p = momentum_grid(L)
-    f_p = (params.Omega / math.sqrt(L)) * bound.u / (
-        bound.energy - omega_tilde(params, bound.K, p)
-    )
-
     z = complex(z_of_K(params, bound.K))
+    # E - omega_tilde(K, p) = side edge_offset + 2|z| (side + cos(p + arg z)), the
+    # bracket in half-angle form: no cancellation where p sits on the band extremum.
+    half = 0.5 * (momentum_grid(L) + cmath.phase(z))
+    bracket = np.cos(half) ** 2 if bound.branch > 0 else np.sin(half) ** 2
+    f_p = (params.Omega / math.sqrt(L)) * bound.u / (
+        bound.branch * (bound.edge_offset + 4.0 * abs(z) * bracket))
+
     b = float(band_halfwidth(params, bound.K))
     d, sq = _resolved_offset(b, bound.energy, bound.edge_offset)
     y_out = -bound.branch * (abs(bound.energy) + sq) / (2.0 * z)

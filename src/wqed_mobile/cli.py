@@ -8,7 +8,8 @@ version, and wall time.
 
 Exit codes: 0 success, 2 invalid parameters (message names the violated
 invariant), 3 numerical failure (band-edge singularity, missing bound
-state, non-convergence, memory budget).
+state, non-convergence, overflow or a non-finite output value, memory
+budget); nothing is written unless every output value is finite.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ _MODEL_FLAGS = (
     ("--out", dict(type=str, default=None,
                    help="output prefix (default: the subcommand name)")),
     ("--threads", dict(type=int, default=None,
-                       help="validated and echoed only: K blocks run in one loop, "
-                            "BLAS threads parallelise each (WQED_THREADS caps it)")),
+                       help="validated and echoed only: K blocks run in one "
+                            "loop (WQED_THREADS caps it)")),
 )
 
 
@@ -181,7 +182,7 @@ def _emit_localized(args, params):
                                  f"would both write _x_t{s:g}.csv")
         if not np.any(np.abs(times - s) <= 1e-12 * max(1.0, s)):
             times = np.sort(np.append(times, s))
-    run = evolve_localized(params, args.x0, times)
+    run = evolve_localized(params, args.x0, times, snapshots)
     tables = {"_pe": (["t", "P_e_total"], [run.times, run.pe_total()])}
     for s in snapshots:
         obs = position_observables(run, s)
@@ -212,6 +213,10 @@ def _writes(compute):
         t0 = time.perf_counter()
         tables, fields = compute(args, params)
         out = args.out if args.out else args.command
+        for suffix, (header, columns) in tables.items():
+            for name, column in zip(header, columns):
+                if not np.all(np.isfinite(np.asarray(column, dtype=float))):
+                    raise NumericalFailure(f"non-finite {name} in {out}{suffix}.csv")
         for suffix, (header, columns) in tables.items():
             write_csv(f"{out}{suffix}.csv", header, columns)
         write_sidecar(f"{out}.json", args, params, t0, threads=threads, **fields)
@@ -334,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BandEdgeSingularity, NoBoundState, NotEmbedded,
             NumericalFailure, SizeError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"error: numerical failure: overflow ({exc})", file=sys.stderr)
         return 3
 
 

@@ -3,9 +3,14 @@
 Total momentum is conserved, so the dynamics splits into independent
 (L+1) x (L+1) blocks, one per total momentum K: the excited emitter |K> at
 energy E_{K,Delta} coupled with strength Omega/sqrt(L) to the L hybrid
-photon+recoil modes |p>_K at energies omega_tilde(K, p).  Each block is
-evolved exactly through one dense real-symmetric eigendecomposition, so
-every requested time carries no integrator error.
+photon+recoil modes |p>_K at energies omega_tilde(K, p).  Each block is an
+arrowhead matrix, diagonal plus one border, and is evolved exactly from its
+eigenpairs in closed form: the eigenvalues are the roots of the finite-L
+secular equation, one per interval between the sorted photon poles, and
+each eigenvector follows from its eigenvalue (Gu & Eisenstat, SIAM J.
+Matrix Anal. Appl. 15, 1266 (1994); R.-C. Li, LAPACK Working Note 89
+(1993)).  A block costs O(L^2) instead of a dense O(L^3)
+eigendecomposition, and every requested time carries no integrator error.
 
 An emitter localized at site x0 is the uniform superposition
 c_K = e^{i K x0} / sqrt(L) of block ground states; position-space
@@ -24,6 +29,7 @@ import numpy as np
 from .errors import (
     BandEdgeSingularity,
     NotEmbedded,
+    NumericalFailure,
     ParameterError,
     check_memory,
 )
@@ -41,7 +47,7 @@ from .model import (
 
 def resolve_threads(requested: int | None = None) -> int:
     """The --threads request capped by WQED_THREADS; the CLI validates and echoes
-    it, but K blocks evolve in one loop and only BLAS threads run."""
+    it, but K blocks evolve in one loop."""
     n = requested if requested else (os.cpu_count() or 1)
     cap = os.environ.get("WQED_THREADS")
     if cap:
@@ -66,18 +72,27 @@ def block_hamiltonian(params: ModelParams, K: float) -> np.ndarray:
     return h
 
 
-def _time_index(times: np.ndarray, t: float) -> int:
+def _time_index(times: np.ndarray, t: float, what: str = "sampled times") -> int:
     """Index of the sampled time t in a trajectory's `times`."""
-    i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > 1e-12 * max(1.0, abs(t)):
-        raise ParameterError(f"t = {t!r} is not one of the sampled times")
+    i = int(np.argmin(np.abs(times - t))) if times.size else 0
+    if not times.size or abs(times[i] - t) > 1e-12 * max(1.0, abs(t)):
+        raise ParameterError(f"t = {t!r} is not one of the {what}")
     return i
 
 
-def _check_block_budget(L: int, n_blocks: int, n_times: int):
-    # One block's eigh working set plus all stored trajectories.
-    check_memory(3 * (L + 1) ** 2 * 8 + n_blocks * n_times * (L + 1) * 16,
-                 "dense K-block work", "reduce L or the sample count")
+#: Elements of each (root, pole) work array of the secular solver.
+_CHUNK = 1 << 18
+
+
+def _work_array(L: int) -> np.ndarray:
+    """Scratch space of _block_modes for blocks of size L."""
+    return np.empty((L + 1) * L + 3 * max(_CHUNK, L + 2))
+
+
+def _check_block_budget(L: int, n_blocks: int, n_times: int, n_snapshots: int):
+    # A few (L+1) x (L+2) real arrays per block, plus every stored psi_e and phi.
+    check_memory(6 * (L + 1) * (L + 2) * 8 + n_blocks * (n_times + n_snapshots * L) * 16,
+                 "K-block work", "reduce L, the sample count or the snapshots")
 
 
 @dataclass(frozen=True)
@@ -106,13 +121,204 @@ class KBlockTrajectory:
         return np.abs(self.psi_e) ** 2 + np.sum(np.abs(self.phi) ** 2, axis=1)
 
 
-def _evolve_block(h: np.ndarray, v0: np.ndarray, times: np.ndarray
+_EPS = np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class _BlockModes:
+    """Eigenpairs of one K block.
+
+    Photon poles that agree to a few ulps form one group (an exact
+    degeneracy).  Within a group only the uniform combination couples to the
+    emitter; the rest are dark states at the group's pole.  A group whose
+    coupling rounds to nothing is dark as a whole.  The bright groups and the
+    emitter span the eigenstates n, with emitter amplitude sqrt(w_n) and
+    photon amplitude g sqrt(w_n) / (E_n - pole) on every member of a bright
+    group; `inverse` holds 1 / (E_n - pole) over (state, bright group).
+    """
+
+    coupling: float
+    group: np.ndarray
+    pole: np.ndarray
+    bright: np.ndarray
+    energy: np.ndarray
+    weight: np.ndarray
+    inverse: np.ndarray
+
+
+def _block_modes(params: ModelParams, K: float, work: np.ndarray) -> _BlockModes:
+    """Eigenpairs of the K block in O(L^2), without forming the matrix.
+
+    `work` comes from _work_array(L); callers that loop over K reuse it, and
+    the returned `inverse` lives in it until the next call.
+    """
+    L = params.L
+    u = omega_tilde(params, K, momentum_grid(L))
+    g = params.Omega / math.sqrt(L)
+    tol = 32 * _EPS * (params.J + params.Jp)  # rounding of omega_tilde
+    order = np.argsort(u, kind="stable")
+    in_group = np.concatenate(([0], np.cumsum(np.diff(u[order]) > tol)))
+    group = np.empty(L, dtype=np.intp)
+    group[order] = in_group
+    size = np.bincount(in_group)
+    pole = np.bincount(in_group, weights=u[order]) / size
+    bright = g * np.sqrt(size) > tol
+    energy, weight, inverse = _secular_roots(pole[bright], size[bright].astype(float),
+                                             g * g, float(gap_energy(params, K)), work)
+    return _BlockModes(coupling=g, group=group, pole=pole, bright=bright,
+                       energy=energy, weight=weight, inverse=inverse)
+
+
+def _secular_roots(P: np.ndarray, M: np.ndarray, g2: float, a: float, work: np.ndarray):
+    """Eigenvalues E_n, emitter weights w_n and 1 / (E_n - P) of the arrowhead
+    matrix with emitter level a and poles P of multiplicity M.
+
+    The n-th root of h(E) = g2 sum_j M_j / (E - P_j) - (E - a) lies in the
+    n-th interval of the sorted poles, the first below and the last above
+    them (inside the Weyl bounds).  Each root is held as E = P_o + tau about
+    its nearer pole P_o, so that E - P_j = (P_o - P_j) + tau and
+    E - a = (P_o - a) + tau keep tau's relative accuracy however close E
+    comes to a pole.  Each step solves a rational model of h (see
+    _model_step), safeguarded by bisection, and a root stops once h is zero
+    to its rounding or a step no longer moves tau in its last bits.  The
+    roots are independent, and are solved in chunks that keep the (root,
+    pole) work arrays at _CHUNK elements.
+    """
+    nb = P.size
+    span = math.sqrt(g2 * M.sum())
+    lo_edge = np.concatenate(([min(P.min(initial=a), a) - span], P))
+    hi_edge = np.concatenate((P, [max(P.max(initial=a), a) + span]))
+    Pa = np.append(P, a)  # a is the origin of the only root when there is no pole
+    Mpad = np.concatenate(([0.0], M, [0.0]))
+    energy = np.empty(nb + 1)
+    weight = np.empty(nb + 1)
+    inverse = work[:(nb + 1) * nb].reshape(nb + 1, nb)
+    chunk = max(1, _CHUNK // (nb + 2))
+    for start in range(0, nb + 1, chunk):
+        n = np.arange(start, min(start + chunk, nb + 1))
+        # (root, pole) arrays with an empty column on each side, so that row n
+        # splits into nonempty sums over the poles left (j < n) and right of it.
+        diff, d, x = work[(nb + 1) * nb:][:3 * n.size * (nb + 2)].reshape(3, n.size, nb + 2)
+        diff[:, [0, -1]] = np.inf
+
+        def evaluate(rows, origin, tau):
+            k = rows.size
+            if k == n.size:
+                np.add(diff, tau[:, None], out=d)
+            else:
+                np.take(diff, rows, axis=0, out=d[:k])
+                d[:k] += tau[:, None]
+            cuts = ((np.arange(k) * (nb + 2))[:, None]
+                    + np.stack([0 * rows, n[rows] + 1], axis=1)).ravel()
+            np.divide(Mpad, d[:k], out=x[:k])  # M_j / (E - P_j)
+            left1, right1 = g2 * np.add.reduceat(x[:k].ravel(), cuts).reshape(k, 2).T
+            np.divide(x[:k], d[:k], out=x[:k])  # M_j / (E - P_j)^2
+            left2, right2 = g2 * np.add.reduceat(x[:k].ravel(), cuts).reshape(k, 2).T
+            h = left1 + right1 - ((origin - a) + tau)
+            bound = 8 * _EPS * (left1 - right1 + abs(origin - a) + abs(tau))
+            return h, bound, left2, right2
+
+        # The first evaluation, at the interval midpoints, picks each root's
+        # half and so its origin; the first step models h by the exact terms
+        # of the two poles next to it.
+        lo, hi = lo_edge[n], hi_edge[n]
+        mid = lo + 0.5 * (hi - lo)
+        diff[:, 1:-1] = mid[:, None] - P
+        rows = np.arange(n.size)
+        h, bound, dleft, dright = evaluate(rows, mid, np.zeros(n.size))
+        o = np.clip(np.where(h > 0, n, n - 1), 0, max(nb - 1, 0))
+        origin = Pa[o]
+        diff[:, 1:-1] = origin[:, None] - P
+        tau = mid - origin
+        at_lo = o == n - 1
+        with np.errstate(all="ignore"):
+            near = g2 * Mpad[o + 1] / (tau * tau)
+            far = g2 * np.where(at_lo, Mpad[n + 1] / (mid - hi) ** 2,
+                                Mpad[n] / (mid - lo) ** 2)
+        lo = np.where(h > 0, tau, lo - origin)
+        hi = np.where(h > 0, hi - origin, tau)
+        for _ in range(100):
+            t = tau[rows]
+            with np.errstate(all="ignore"):
+                step = _model_step(at_lo[rows], t, h, near, far)
+            done = (np.abs(h) <= bound) | (np.abs(step - t) <= 2 * _EPS * np.abs(t))
+            weight[n[rows[done]]] = 1.0 / (1.0 + dleft[done] + dright[done])
+            rows, step = rows[~done], step[~done]
+            if not rows.size:
+                break
+            lo_r, hi_r = lo[rows], hi[rows]
+            tau[rows] = t = np.where((step > lo_r) & (step < hi_r), step, 0.5 * (lo_r + hi_r))
+            h, bound, dleft, dright = evaluate(rows, origin[rows], t)
+            lo[rows] = np.where(h > 0, t, lo_r)
+            hi[rows] = np.where(h < 0, t, hi_r)
+            near = np.where(at_lo[rows], dleft, dright)
+            far = np.where(at_lo[rows], dright, dleft)
+        else:
+            raise NumericalFailure(f"secular equation: {rows.size} root(s) did not converge")
+        energy[n] = origin + tau
+        block = inverse[start:start + n.size]
+        np.add(diff[:, 1:-1], tau[:, None], out=block)
+        np.reciprocal(block, out=block)
+    return energy, weight, inverse
+
+
+def _model_step(at_lo, tau, h, near, far):
+    """Next tau: the root on the origin's side of the model
+
+        h(tau') = c + s / tau' - (1 + far) (tau' - tau),   s = near tau^2,
+
+    whose pole term stands for the poles on the origin's side (slope `near`
+    at tau) and whose linear term for the poles on the other side (slope
+    `far`) and for -(E - a).  It matches h and h' at tau.  Close to the
+    origin pole it is that pole; far from every pole it is Newton's step.
+    """
+    k = 1.0 + far
+    s = near * tau * tau
+    q = h - near * tau + k * tau
+    r = np.sqrt(q * q + 4 * k * s)
+    up = np.where(q >= 0, 0.5 * (q + r) / k, 2 * s / (r - q))
+    down = np.where(q <= 0, 0.5 * (q - r) / k, -2 * s / (q + r))
+    return np.where(at_lo, up, down)
+
+
+def _evolve_modes(modes: _BlockModes, psi_e0: complex, phi0: np.ndarray,
+                  times: np.ndarray, snapshots: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-i h t) v0 at every t via one symmetric eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    c = v.T @ v0
-    amps = v @ (c[:, None] * np.exp(-1j * np.outer(w, times)))
-    return amps[0, :], amps[1:, :].T
+    """psi_e at every time and phi at every snapshot from (psi_e0, phi0)."""
+    g, group, bright, inv = modes.coupling, modes.group, modes.bright, modes.inverse
+    size = np.bincount(group)
+    total = (np.bincount(group, weights=phi0.real, minlength=size.size)
+             + 1j * np.bincount(group, weights=phi0.imag, minlength=size.size))
+    # Overlap <n|v0>/sqrt(w_n) = psi_e0 + g sum_p phi0_p / (E_n - pole(p)).
+    overlap = psi_e0 + g * _real_times(inv, total[bright])
+    amp = modes.weight * overlap
+    psi_e = _phases(times, modes.energy) @ amp
+    phase = _phases(modes.energy, snapshots)
+    phase *= amp[:, None]
+    coupled = np.zeros((size.size, snapshots.size), dtype=complex)
+    coupled[bright] = _real_times(inv.T, phase)
+    coupled *= g
+    # The dark part of phi0, less its group mean on bright groups, turns at its pole.
+    dark = _phases(snapshots, modes.pole[group])
+    dark *= phi0 - np.where(bright, total / size, 0.0)[group]
+    return psi_e, coupled[group].T + dark
+
+
+def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(-i a_j b_k) over (j, k), from one real product and its cos and sin."""
+    arg = np.multiply.outer(a, b)
+    out = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
+
+
+def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Real matrix times complex array, as one real product."""
+    z = np.ascontiguousarray(z)
+    pairs = z.view(float).reshape(z.shape[0], 2 * math.prod(z.shape[1:]))
+    return (a @ pairs).view(complex).reshape((a.shape[0],) + z.shape[1:])
 
 
 def _checked_times(times) -> np.ndarray:
@@ -129,12 +335,10 @@ def evolve_fixed_K(params: ModelParams, K: float, times,
                    ) -> KBlockTrajectory:
     """Evolve one K block exactly; default initial state is the excited emitter."""
     times = _checked_times(times)
-    _check_block_budget(params.L, 1, times.size)
-    v0 = np.zeros(params.L + 1, dtype=complex)
-    v0[0] = psi_e0
-    if phi0 is not None:
-        v0[1:] = phi0
-    psi_e, phi = _evolve_block(block_hamiltonian(params, K), v0, times)
+    _check_block_budget(params.L, 1, times.size, times.size)
+    phi0 = np.zeros(params.L, dtype=complex) if phi0 is None else np.asarray(phi0, complex)
+    modes = _block_modes(params, K, _work_array(params.L))
+    psi_e, phi = _evolve_modes(modes, complex(psi_e0), phi0, times, times)
     return KBlockTrajectory(K=float(K), times=times, psi_e=psi_e, phi=phi)
 
 
@@ -200,7 +404,7 @@ def markov_rate(params: ModelParams, K: float) -> float:
             f"E_(K,Delta) = {e!r} lies outside the band (half-width {b!r}); "
             "the emitter does not decay"
         )
-    return 2.0 * params.Omega**2 / math.sqrt((b - e) * (b + e))
+    return 2.0 * params.Omega**2 / (math.sqrt(b - e) * math.sqrt(b + e))
 
 
 def fit_exponential_rate(times: np.ndarray, values: np.ndarray,
@@ -352,7 +556,8 @@ class LocalizedRun:
     """All K-block trajectories of an emitter initially excited at site x0.
 
     c[m] = e^{i K_m x0} / sqrt(L) are the momentum amplitudes; psi_e has
-    shape (nt, L) over (time, K) and phi (nt, L, L) over (time, K, p).
+    shape (nt, L) over (time, K), and phi (n_snap, L, L) over (snapshot, K, p)
+    holds the photon amplitudes at the sampled times `snapshots` only.
     """
 
     params: ModelParams
@@ -361,41 +566,50 @@ class LocalizedRun:
     c: np.ndarray
     psi_e: np.ndarray
     phi: np.ndarray
+    snapshots: np.ndarray
 
     def block_trajectory(self, m: int) -> KBlockTrajectory:
-        """Trajectory of the m-th momentum block (unit initial excitation)."""
+        """Trajectory of the m-th momentum block (unit initial excitation) at
+        the snapshot times."""
         kgrid = momentum_grid(self.params.L)
-        return KBlockTrajectory(K=float(kgrid[m]), times=self.times,
-                                psi_e=self.psi_e[:, m], phi=self.phi[:, m, :])
+        rows = [_time_index(self.times, t) for t in self.snapshots]
+        return KBlockTrajectory(K=float(kgrid[m]), times=self.snapshots,
+                                psi_e=self.psi_e[rows, m], phi=self.phi[:, m, :])
 
     def pe_total(self) -> np.ndarray:
         """Total excited-state population at every sampled time."""
         return np.sum(np.abs(self.c[None, :]) ** 2 * np.abs(self.psi_e) ** 2, axis=1)
 
     def total_norm(self) -> np.ndarray:
-        pops = np.abs(self.psi_e) ** 2 + np.sum(np.abs(self.phi) ** 2, axis=2)
+        """Total norm at every snapshot time."""
+        rows = [_time_index(self.times, t) for t in self.snapshots]
+        pops = np.abs(self.psi_e[rows]) ** 2 + np.sum(np.abs(self.phi) ** 2, axis=2)
         return np.sum(np.abs(self.c[None, :]) ** 2 * pops, axis=1)
 
 
-def evolve_localized(params: ModelParams, x0: int, times) -> LocalizedRun:
-    """Evolve every K block for an emitter initially excited at site x0."""
+def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> LocalizedRun:
+    """Evolve every K block for an emitter initially excited at site x0.
+
+    psi_e is kept at every time; phi only at `snapshots`, which must be
+    sampled times (default: all of them).
+    """
     times = _checked_times(times)
+    snapshots = times if snapshots is None else times[
+        [_time_index(times, t) for t in np.atleast_1d(snapshots)]]
     L = params.L
-    _check_block_budget(L, L, times.size)
+    _check_block_budget(L, L, times.size, snapshots.size)
     kgrid = momentum_grid(L)
     c = np.exp(1j * kgrid * x0) / math.sqrt(L)
 
-    v0 = np.zeros(L + 1, dtype=complex)
-    v0[0] = 1.0
+    no_photon = np.zeros(L, dtype=complex)
+    work = _work_array(L)
     psi_e = np.empty((times.size, L), dtype=complex)
-    phi = np.empty((times.size, L, L), dtype=complex)
+    phi = np.empty((snapshots.size, L, L), dtype=complex)
     for m, K in enumerate(kgrid):
-        # pe, ph stay alive while the next block runs, so glibc does not trim the
-        # heap and re-fault eigh's workspace every block (~1,500 faults at L = 400).
-        pe, ph = _evolve_block(block_hamiltonian(params, K), v0, times)
-        psi_e[:, m], phi[:, m, :] = pe, ph
+        psi_e[:, m], phi[:, m, :] = _evolve_modes(_block_modes(params, K, work), 1.0,
+                                                  no_photon, times, snapshots)
     return LocalizedRun(params=params, x0=int(x0), times=times, c=c,
-                        psi_e=psi_e, phi=phi)
+                        psi_e=psi_e, phi=phi, snapshots=snapshots)
 
 
 def wavefront_position(x: np.ndarray, profile: np.ndarray,
@@ -449,7 +663,8 @@ def position_observables(run: LocalizedRun, t: float) -> PositionObservables:
     L = run.params.L
     idx = np.arange(L)
     ksum = grid_add_index(idx[:, None], idx[None, :], L)  # index of k_g + p
-    b_joint = run.c[ksum] * run.phi[it][ksum, idx[None, :]]
+    phi = run.phi[_time_index(run.snapshots, t, "snapshot times")]
+    b_joint = run.c[ksum] * phi[ksum, idx[None, :]]
 
     # e^{-i p_n x} = e^{i pi x} e^{-2 pi i n x / L}: the prefactor drops in |.|^2.
     n_photon = np.sum(np.abs(np.fft.fft(b_joint, axis=1)) ** 2, axis=0) / L

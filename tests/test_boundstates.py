@@ -23,6 +23,7 @@ from wqed_mobile import (
     dense_block_eigenvalues,
     flatness_report,
     momentum_grid,
+    omega_tilde,
     pole_function,
     pole_residual,
     self_energy,
@@ -318,3 +319,35 @@ def test_wavefunction_over_budget_raises_before_allocating():
     bound = solve_bound_state(GENERIC, 0.3, +1)
     with pytest.raises(SizeError, match="reduce x_max"):
         bound_wavefunctions(GENERIC, bound, 10**11)
+
+
+def test_momentum_amplitudes_finite_on_the_band_extremum():
+    # Weak coupling rounds the energy onto omega_tilde at a grid momentum on the
+    # band extremum, where E - omega_tilde used to divide by zero.  The
+    # amplitudes stay finite and match two independent evaluations: the plain
+    # Omega u / sqrt(L) / (E - omega_tilde) where its denominator cannot cancel,
+    # and everywhere the form with side + cos x = side sin^2 x / (1 - side cos x)
+    # wherever side cos x < 0, x = p + arg z.
+    L = 400
+    p = momentum_grid(L)
+    for omega in (1e-6, 1e-8):
+        for jp in (0.0, 0.5):
+            params = ModelParams(J=1.0, Jp=jp, Delta=0.0, Omega=omega, L=L)
+            for K in np.linspace(-math.pi, math.pi, 21):
+                for branch in (+1, -1):
+                    bound = solve_bound_state(params, K, branch)
+                    with np.errstate(all="raise"):
+                        f_p, _, _ = bound_wavefunctions(params, bound, 3)
+                    assert np.all(np.isfinite(f_p))
+                    scale = omega / math.sqrt(L) * bound.u
+                    plain = bound.energy - omega_tilde(params, K, p)
+                    far = np.abs(plain) >= 1e-2
+                    assert np.allclose(f_p[far], scale / plain[far], rtol=1e-12, atol=0.0)
+                    z = complex(z_of_K(params, K))
+                    c = np.cos(p + np.angle(z))
+                    with np.errstate(all="ignore"):
+                        bracket = np.where(branch * c >= 0, branch + c,
+                                           branch * np.sin(p + np.angle(z)) ** 2
+                                           / (1.0 - branch * c))
+                    ref = scale / (branch * bound.edge_offset + 2 * abs(z) * bracket)
+                    assert np.allclose(f_p, ref, rtol=1e-12, atol=0.0)

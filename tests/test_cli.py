@@ -1,14 +1,18 @@
 """CLI tests: subcommands, file formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wqed_mobile
 from wqed_mobile.cli import COMMANDS, main
@@ -232,7 +236,7 @@ def test_negative_nt_exit_2(tmp_path, monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, work", [
-    (["emit-localized", "--L", "4000", "--nt", "51"], "dense K-block work needs"),
+    (["emit-localized", "--L", "12000", "--nt", "51"], "K-block work needs"),
     (["bound-wavefunction", "--K", "0", "--xmax", "100000000000"],
      "the wavefunction on 200000000001 sites needs"),
 ])
@@ -241,6 +245,18 @@ def test_over_memory_budget_exit_3(tmp_path, monkeypatch, capsys, argv, work):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert work in err and "(budget 2048 MiB)" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["map-transmission", "--Jp", "1e300", "--nk", "5", "--np", "5"], "non-finite"),
+    (["scatter", "--ki", "0.5", "--pi", "1.0", "--Omega", "1e300"], "overflow"),
+
+])
+def test_overflowing_parameters_exit_3(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -280,3 +296,75 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+_FUZZ_VALID = st.floats(-5.0, 5.0).map(repr)
+_FUZZ_FLOAT = st.one_of(
+    *[_FUZZ_VALID] * 5,
+    st.sampled_from(["0", "-0", "1e-8", "1e-300", "1e300", "-1e300"]),
+    st.sampled_from(["nan", "inf", "-inf", "1e999"]),
+    st.sampled_from(["abc", "", "0x10", "2,5"]))
+_FUZZ_INT = st.one_of(
+    *[st.integers(-3, 16).map(str)] * 4, st.sampled_from(["abc", "1.5", "", "1e3", "0x10"]))
+#: Every flag of every subcommand, with tiny sizes: L <= 16, grids <= 9.
+_FUZZ_FLAGS = {
+    "--J": _FUZZ_FLOAT, "--Jp": _FUZZ_FLOAT, "--Delta": _FUZZ_FLOAT,
+    "--Omega": _FUZZ_FLOAT, "--L": _FUZZ_INT, "--threads": _FUZZ_INT,
+    "--K": _FUZZ_FLOAT, "--ki": _FUZZ_FLOAT, "--pi": _FUZZ_FLOAT,
+    "--nk": st.integers(-1, 9).map(str), "--np": st.integers(-1, 9).map(str),
+    "--nK": st.integers(-1, 9).map(str), "--nt": st.integers(-1, 9).map(str),
+    "--xmax": st.integers(-1, 9).map(str), "--x0": _FUZZ_INT,
+    "--tmax": _FUZZ_FLOAT, "--snapshot": _FUZZ_FLOAT,
+    "--branch": st.sampled_from(["plus", "minus", "up"]),
+}
+
+
+#: Required flags, and flags that keep each subcommand tiny; the drawn flags
+#: come later and win.
+_FUZZ_SMALL = {"scatter": ["--ki", "0.5", "--pi", "1.0"], "bound-energies": ["--nK", "8"],
+               "bound-wavefunction": ["--K", "0.3"], "emit-fixed-k": ["--K", "0.3", "--nt", "5"],
+               "emit-localized": ["--nt", "5"]}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    cmd = draw(st.sampled_from(COMMANDS))
+    flags = [flag for flag, _ in cmd.flags] + ["--J", "--Jp", "--Delta", "--Omega",
+                                               "--L", "--threads"]
+    argv = [cmd.name, "--L", "16"] + _FUZZ_SMALL.get(cmd.name, [])
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=6)):
+        argv += [flag, draw(_FUZZ_FLAGS[flag])]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(argv=_fuzz_argv())
+def test_cli_fuzz_exit_codes_and_finite_output(argv):
+    # Any argv exits 0, 2 or 3 without a traceback, and an exit-0 run writes
+    # only finite numbers.
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        os.chdir(tmp)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            rc = exc.code
+        finally:
+            os.chdir(cwd)
+        assert rc in (0, 2, 3), argv
+        if rc != 0:
+            return
+        for path in Path(tmp).iterdir():
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=_reject_constant)
+                continue
+            values = np.array([float(v) for line in text.splitlines()[1:]
+                               for v in line.split(",")])
+            assert np.all(np.isfinite(values)), (argv, path.name)

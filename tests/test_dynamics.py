@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqed_mobile import (
     BandEdgeSingularity,
@@ -26,7 +27,14 @@ from wqed_mobile import (
     spectrum_peaks,
     wavefront_position,
 )
-from wqed_mobile.dynamics import block_hamiltonian, critical_jp_lower, critical_jp_upper
+from wqed_mobile.dynamics import (
+    _block_modes,
+    _work_array,
+    block_hamiltonian,
+    critical_jp_lower,
+    critical_jp_upper,
+)
+from wqed_mobile.oracle import dense_block_diagonalize
 
 FIG_EMISSION = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=400)
 
@@ -128,6 +136,12 @@ def test_markov_rate_values():
     edge = ModelParams(J=1.0, Jp=0.0, Delta=2.0, Omega=0.2, L=64)
     with pytest.raises(BandEdgeSingularity):
         markov_rate(edge, 0.0)
+
+
+def test_markov_rate_tiny_band_does_not_underflow():
+    # (2|z| - E)(2|z| + E) underflows to 0 for a band of width 4e-280.
+    params = ModelParams(J=1e-280, Jp=0.0, Delta=0.0, Omega=1.0, L=16)
+    assert markov_rate(params, 0.3) == pytest.approx(1e280, rel=1e-12)
 
 
 def test_markov_rate_against_decay_fit():
@@ -366,3 +380,96 @@ def test_localized_threads_deterministic():
     run2 = evolve_localized(params, 0, [11.0])
     assert np.array_equal(run1.psi_e, run2.psi_e)
     assert np.array_equal(run1.phi, run2.phi)
+
+
+def _dense_evolution(params, K, psi_e0, phi0, times):
+    """exp(-i h t) (psi_e0, phi0) from a dense eigendecomposition of the block."""
+    w, v = np.linalg.eigh(block_hamiltonian(params, K))
+    amps = v @ ((v.T @ np.concatenate(([psi_e0], phi0)))[:, None]
+                * np.exp(-1j * np.outer(w, times)))
+    return amps[0], amps[1:].T
+
+
+def _random_state(L, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=L + 1) + 1j * rng.normal(size=L + 1)
+    v /= np.linalg.norm(v)
+    return v[0], v[1:]
+
+
+@st.composite
+def _blocks(draw):
+    L = 2 * draw(st.integers(2, 32))
+    jp = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    delta = draw(st.floats(-5.0, 5.0))
+    omega = draw(st.one_of(st.just(0.0),
+                           st.floats(math.log(1e-6), math.log(3.0)).map(math.exp)))
+    K = draw(st.one_of(st.sampled_from((0.0, math.pi)),
+                       st.integers(0, L - 1).map(lambda i: float(momentum_grid(L)[i]))))
+    return ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=omega, L=L), K
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(block=_blocks(), seed=st.integers(0, 2**16))
+def test_arrowhead_engine_matches_dense_property(block, seed):
+    params, K = block
+    L = params.L
+    # Spectrum: the secular roots plus the dark states at each pole group.
+    modes = _block_modes(params, K, _work_array(L))
+    n_dark = np.bincount(modes.group) - modes.bright
+    energies = np.concatenate((modes.energy, np.repeat(modes.pole, n_dark)))
+    weights = np.concatenate((modes.weight, np.zeros(n_dark.sum())))
+    order = np.argsort(energies, kind="stable")
+    dense = dense_block_diagonalize(params, K)
+    assert np.abs(energies[order] - dense.eigenvalues).max() <= 1e-10
+    # Weights, summed over clusters of eigenvalues closer than 1e-9, where the
+    # dense eigenvectors are not unique.
+    cuts = np.flatnonzero(np.diff(dense.eigenvalues) > 1e-9) + 1
+    assert np.abs(np.add.reduceat(weights[order], np.r_[0, cuts])
+                  - np.add.reduceat(dense.weights, np.r_[0, cuts])).max() <= 1e-10
+
+    times = np.array([0.0, 0.7, 13.0, 91.0])
+    psi_e0, phi0 = _random_state(L, seed)
+    traj = evolve_fixed_K(params, K, times, psi_e0=psi_e0, phi0=phi0)
+    psi_ref, phi_ref = _dense_evolution(params, K, psi_e0, phi0, times)
+    assert np.abs(traj.psi_e - psi_ref).max() <= 1e-10
+    assert np.abs(traj.phi - phi_ref).max() <= 1e-10
+    assert np.abs(traj.norms() - 1.0).max() <= 1e-10
+
+    run = evolve_localized(params, 1, [0.0, 9.0, 40.0], snapshots=[9.0, 40.0])
+    assert np.abs(run.total_norm() - 1.0).max() <= 1e-10
+    for t in (9.0, 40.0):
+        obs = position_observables(run, t)
+        assert abs(obs.n_photon.sum() - obs.p_ground.sum()) <= 1e-10
+        assert abs(obs.p_excited.sum() + obs.p_ground.sum() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("jp, omega, K", [
+    (0.5, 0.2, math.pi / 3),
+    (0.0, 1e-6, 0.0),
+    (0.5, 0.0, math.pi),
+])
+def test_arrowhead_engine_matches_dense_at_L_2000(jp, omega, K):
+    params = ModelParams(J=1.0, Jp=jp, Delta=0.0, Omega=omega, L=2000)
+    times = np.array([0.0, 50.0, 200.0])
+    traj = evolve_fixed_K(params, K, times)
+    psi_ref, phi_ref = _dense_evolution(params, K, 1.0, np.zeros(2000), times)
+    assert np.abs(traj.psi_e - psi_ref).max() <= 1e-10
+    assert np.abs(traj.phi - phi_ref).max() <= 1e-10
+
+
+def test_localized_snapshots_keep_phi_only_where_asked():
+    params = ModelParams(J=1.0, Jp=0.4, Delta=0.3, Omega=0.3, L=32)
+    times = np.linspace(0.0, 20.0, 11)
+    full = evolve_localized(params, 2, times)
+    some = evolve_localized(params, 2, times, snapshots=[8.0, 20.0])
+    assert full.phi.shape == (11, 32, 32) and some.phi.shape == (2, 32, 32)
+    assert np.array_equal(some.psi_e, full.psi_e)
+    assert np.array_equal(some.phi, full.phi[[4, 10]])
+    assert np.array_equal(some.snapshots, [8.0, 20.0])
+    a, b = position_observables(some, 8.0), position_observables(full, 8.0)
+    assert np.array_equal(a.n_photon, b.n_photon)
+    with pytest.raises(ParameterError, match="snapshot times"):
+        position_observables(some, 4.0)
+    with pytest.raises(ParameterError, match="sampled times"):
+        evolve_localized(params, 2, times, snapshots=[3.0])

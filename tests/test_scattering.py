@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqed_mobile import (
     ModelParams,
@@ -173,3 +174,34 @@ def test_sweep_rejects_small_grid():
     params = ModelParams(J=1.0, Jp=0.1, Delta=0.0, Omega=0.5, L=8)
     with pytest.raises(ParameterError):
         sweep_scattering(params, 1, 41)
+
+
+def _check_invariants(params, k_i, p_i, t, r, p_f2, k_f2):
+    assert np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0).max() <= 1e-10
+    assert np.abs(1.0 + r - t).max() <= 1e-12
+    K = k_i + p_i
+    energy = omega_tilde(params, K, p_i)
+    on_shell = np.abs(omega_tilde(params, K, p_f2) - energy)
+    assert np.all(on_shell <= 1e-10 * np.maximum(1.0, np.abs(energy)))
+    assert np.abs(wrap(p_f2 + k_f2 - K)).max() <= 1e-12
+
+
+_PHYSICS = dict(jp=st.floats(0.0, 2.0), delta=st.floats(-5.0, 5.0),
+                omega=st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(k_i=st.floats(-math.pi, math.pi), p_i=st.floats(-math.pi, math.pi), **_PHYSICS)
+def test_scatter_invariants_property(jp, delta, omega, k_i, p_i):
+    params = ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=omega, L=8)
+    out = scatter(params, k_i, p_i, warn_degenerate=False)
+    _check_invariants(params, k_i, p_i, out.t, out.r, out.p_f2, out.k_f2)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n_k=st.integers(2, 9), n_p=st.integers(2, 9), **_PHYSICS)
+def test_sweep_invariants_property(jp, delta, omega, n_k, n_p):
+    params = ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=omega, L=8)
+    table = sweep_scattering(params, n_k, n_p)
+    _check_invariants(params, table["k_i"], table["p_i"], _complex_cols(table, "t"),
+                      _complex_cols(table, "r"), table["p_f2"], table["k_f2"])
