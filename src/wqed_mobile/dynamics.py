@@ -85,8 +85,9 @@ _CHUNK = 1 << 18
 
 
 def _work_array(L: int) -> np.ndarray:
-    """Scratch space of _block_modes for blocks of size L."""
-    return np.empty((L + 1) * L + 3 * max(_CHUNK, L + 2))
+    """Scratch space of _block_modes for blocks of size L; reusing it across
+    blocks spares the page faults of fresh arrays."""
+    return np.empty(3 * max(_CHUNK, L + 2))
 
 
 def _check_block_budget(L: int, n_blocks: int, n_times: int, n_snapshots: int):
@@ -149,8 +150,7 @@ class _BlockModes:
 def _block_modes(params: ModelParams, K: float, work: np.ndarray) -> _BlockModes:
     """Eigenpairs of the K block in O(L^2), without forming the matrix.
 
-    `work` comes from _work_array(L); callers that loop over K reuse it, and
-    the returned `inverse` lives in it until the next call.
+    `work` comes from _work_array(L); callers that loop over K reuse it.
     """
     L = params.L
     u = omega_tilde(params, K, momentum_grid(L))
@@ -192,13 +192,13 @@ def _secular_roots(P: np.ndarray, M: np.ndarray, g2: float, a: float, work: np.n
     Mpad = np.concatenate(([0.0], M, [0.0]))
     energy = np.empty(nb + 1)
     weight = np.empty(nb + 1)
-    inverse = work[:(nb + 1) * nb].reshape(nb + 1, nb)
+    inverse = np.empty((nb + 1, nb))
     chunk = max(1, _CHUNK // (nb + 2))
     for start in range(0, nb + 1, chunk):
         n = np.arange(start, min(start + chunk, nb + 1))
         # (root, pole) arrays with an empty column on each side, so that row n
         # splits into nonempty sums over the poles left (j < n) and right of it.
-        diff, d, x = work[(nb + 1) * nb:][:3 * n.size * (nb + 2)].reshape(3, n.size, nb + 2)
+        diff, d, x = work[:3 * n.size * (nb + 2)].reshape(3, n.size, nb + 2)
         diff[:, [0, -1]] = np.inf
 
         def evaluate(rows, origin, tau):
