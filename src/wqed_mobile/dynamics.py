@@ -150,7 +150,8 @@ class _BlockModes:
 def _block_modes(params: ModelParams, K: float, work: np.ndarray) -> _BlockModes:
     """Eigenpairs of the K block in O(L^2), without forming the matrix.
 
-    `work` comes from _work_array(L); callers that loop over K reuse it.
+    `work` comes from _work_array(L); callers that loop over K reuse it, and
+    the returned `inverse` may live in it until the next call.
     """
     L = params.L
     u = omega_tilde(params, K, momentum_grid(L))
@@ -192,8 +193,11 @@ def _secular_roots(P: np.ndarray, M: np.ndarray, g2: float, a: float, work: np.n
     Mpad = np.concatenate(([0.0], M, [0.0]))
     energy = np.empty(nb + 1)
     weight = np.empty(nb + 1)
-    inverse = np.empty((nb + 1, nb))
     chunk = max(1, _CHUNK // (nb + 2))
+    # With one chunk the result takes the place of the last work array, still
+    # in cache; with several it needs its own.
+    inverse = (work[2 * (nb + 1) * (nb + 2):][:(nb + 1) * nb] if chunk > nb
+               else np.empty((nb + 1) * nb)).reshape(nb + 1, nb)
     for start in range(0, nb + 1, chunk):
         n = np.arange(start, min(start + chunk, nb + 1))
         # (root, pole) arrays with an empty column on each side, so that row n
