@@ -156,7 +156,7 @@ def _block_modes(params: ModelParams, K: float, work: np.ndarray) -> _BlockModes
     L = params.L
     u = omega_tilde(params, K, momentum_grid(L))
     g = params.Omega / math.sqrt(L)
-    tol = 32 * _EPS * (params.J + params.Jp)  # rounding of omega_tilde
+    tol = 32 * _EPS * (params.J + params.Jp)  # exact degeneracies round apart by ~10 eps
     order = np.argsort(u, kind="stable")
     in_group = np.concatenate(([0], np.cumsum(np.diff(u[order]) > tol)))
     group = np.empty(L, dtype=np.intp)
