@@ -136,12 +136,9 @@ def test_markov_rate_values():
     edge = ModelParams(J=1.0, Jp=0.0, Delta=2.0, Omega=0.2, L=64)
     with pytest.raises(BandEdgeSingularity):
         markov_rate(edge, 0.0)
-
-
-def test_markov_rate_tiny_band_does_not_underflow():
-    # (2|z| - E)(2|z| + E) underflows to 0 for a band of width 4e-280.
-    params = ModelParams(J=1e-280, Jp=0.0, Delta=0.0, Omega=1.0, L=16)
-    assert markov_rate(params, 0.3) == pytest.approx(1e280, rel=1e-12)
+    # (2|z| - E)(2|z| + E) would underflow to 0 for a band of width 4e-280.
+    tiny = ModelParams(J=1e-280, Jp=0.0, Delta=0.0, Omega=1.0, L=16)
+    assert markov_rate(tiny, 0.3) == pytest.approx(1e280, rel=1e-12)
 
 
 def test_markov_rate_against_decay_fit():
