@@ -45,7 +45,6 @@ from .boundstates import (
 )
 from .dynamics import (
     EmissionWindows,
-    KBlockState,
     KBlockTrajectory,
     LocalizedRun,
     PositionObservables,

@@ -97,15 +97,6 @@ def _check_block_budget(L: int, n_blocks: int, n_times: int, n_snapshots: int):
 
 
 @dataclass(frozen=True)
-class KBlockState:
-    """State of one K block: excited amplitude and photon amplitudes."""
-
-    K: float
-    psi_e: complex
-    phi: np.ndarray
-
-
-@dataclass(frozen=True)
 class KBlockTrajectory:
     """Exact block evolution sampled at `times` (psi_e: (nt,), phi: (nt, L))."""
 
@@ -113,10 +104,6 @@ class KBlockTrajectory:
     times: np.ndarray
     psi_e: np.ndarray
     phi: np.ndarray
-
-    def state_at(self, t: float) -> KBlockState:
-        i = _time_index(self.times, t)
-        return KBlockState(K=self.K, psi_e=complex(self.psi_e[i]), phi=self.phi[i])
 
     def norms(self) -> np.ndarray:
         return np.abs(self.psi_e) ** 2 + np.sum(np.abs(self.phi) ** 2, axis=1)
@@ -366,13 +353,13 @@ def photon_spectrum_and_directionality(traj: KBlockTrajectory, t: float
     return n_p, float((n_p[pos].sum() - n_p[neg].sum()) / total)
 
 
-def spectrum_peaks(p: np.ndarray, n_p: np.ndarray, n_peaks: int = 2) -> list[float]:
-    """Momenta of the n_peaks tallest circular local maxima of N_p."""
+def spectrum_peaks(p: np.ndarray, n_p: np.ndarray) -> list[float]:
+    """Momenta of the two tallest circular local maxima of N_p."""
     up = n_p > np.roll(n_p, 1)
     down = n_p >= np.roll(n_p, -1)
     idx = np.flatnonzero(up & down)
     idx = idx[np.argsort(n_p[idx])[::-1]]
-    return [float(p[i]) for i in idx[:n_peaks]]
+    return [float(p[i]) for i in idx[:2]]
 
 
 def asymptotic_momenta(params: ModelParams, K: float) -> tuple[float, float] | None:
@@ -432,13 +419,13 @@ class EmissionWindows:
     """Embedded-momentum classification for one (Delta, J') pair.
 
     windows are the connected components of {K in [-pi, pi] :
-    |E_{K,Delta}| <= 2|z(K)|} (wrap-around components are reported split at
-    +-pi).  w_plus is the positive-K extent of a window centered at K = 0;
-    w_minus the width of a window detached from K = 0.  jc_minus / jc_plus
-    are the exact critical emitter hoppings at which a window first opens as
-    J' grows (endpoint collision of the embedding condition), and the
-    *_approx fields the small-J' closed forms sqrt(-Delta J - 2 J^2) and
-    Delta/4 - J/2.
+    |E_{K,Delta}| <= 2|z(K)|}: none, one centered at K = 0, or a mirrored
+    pair (a component around pi is reported split at +-pi).  w_plus is the
+    positive-K extent of a window centered at K = 0; w_minus the width of a
+    window detached from K = 0.  jc_minus / jc_plus are the exact critical
+    emitter hoppings at which a window first opens as J' grows (endpoint
+    collision of the embedding condition), and the *_approx fields the
+    small-J' closed forms sqrt(-Delta J - 2 J^2) and Delta/4 - J/2.
     """
 
     regime: str
@@ -479,22 +466,21 @@ def critical_jp_lower(J: float, delta: float) -> float:
     return (2.0 * J - delta) / 4.0
 
 
-def classify_regime_and_windows(params: ModelParams, n_scan: int = 4001,
-                                k_tol: float = 1e-8) -> EmissionWindows:
+def classify_regime_and_windows(params: ModelParams) -> EmissionWindows:
     """Embedded set of momenta, window widths, and critical couplings.
 
-    The exact condition |E_{K,Delta}| <= 2|z(K)| is scanned on [0, pi] (the
-    margin is even in K), each boundary is refined by bisection to k_tol,
-    and the components are mirrored to negative K.
+    |E_{K,Delta}| <= 2|z(K)| is a convex quadratic inequality in cos K, so on
+    [0, pi] (the margin is even in K) it holds on one interval at most.  That
+    interval is scanned at 4001 points, its ends are bisected to 1e-8, and it
+    is mirrored to negative K; one narrower than the step pi/4000 may be missed.
     """
-    ks = np.linspace(0.0, math.pi, n_scan)
-    margin = _embedding_margin(params, ks)
-    inside = margin >= 0.0
+    ks = np.linspace(0.0, math.pi, 4001)
+    inside = np.flatnonzero(_embedding_margin(params, ks) >= 0.0)
 
     def refine(k_out: float, k_in: float) -> float:
         # margin < 0 at k_out, >= 0 at k_in
         for _ in range(200):
-            if abs(k_in - k_out) < k_tol:
+            if abs(k_in - k_out) < 1e-8:
                 break
             mid = 0.5 * (k_out + k_in)
             if _embedding_margin(params, mid) >= 0.0:
@@ -503,41 +489,24 @@ def classify_regime_and_windows(params: ModelParams, n_scan: int = 4001,
                 k_out = mid
         return 0.5 * (k_out + k_in)
 
-    # Runs of embedded scan points, from the first to the last index of each.
-    steps = np.diff(np.concatenate(([0], inside.astype(int), [0])))
-    half = [(ks[i] if i == 0 else refine(ks[i - 1], ks[i]),
-             ks[j] if j == n_scan - 1 else refine(ks[j + 1], ks[j]))
-            for i, j in zip(np.flatnonzero(steps > 0), np.flatnonzero(steps < 0) - 1)]
-
-    windows: list[tuple[float, float]] = []
-    for lo, hi in half:
+    windows: tuple[tuple[float, float], ...] = ()
+    fraction, regime, w_plus, w_minus = 0.0, "none", None, None
+    if inside.size:
+        i, j = inside[0], inside[-1]
+        lo = ks[i] if i == 0 else refine(ks[i - 1], ks[i])
+        hi = ks[j] if j == ks.size - 1 else refine(ks[j + 1], ks[j])
+        fraction = (hi - lo) / math.pi
+        regime = "all" if lo == 0.0 and hi == math.pi else "selective"
         if lo == 0.0:
-            windows.append((-hi, hi))
+            windows = ((-hi, hi),)
+            w_plus = hi if hi < math.pi else None
         else:
-            windows.append((-hi, -lo))
-            windows.append((lo, hi))
-    windows.sort()
-
-    fraction = sum(hi - lo for lo, hi in half) / math.pi
-
-    if not half:
-        regime = "none"
-    elif len(half) == 1 and half[0][0] == 0.0 and half[0][1] == math.pi:
-        regime = "all"
-    else:
-        regime = "selective"
-
-    w_plus = w_minus = None
-    for lo, hi in half:
-        if lo == 0.0 and hi < math.pi:
-            w_plus = hi
-        if lo > 0.0:
+            windows = ((-hi, -lo), (lo, hi))
             w_minus = hi - lo
-            break
 
     return EmissionWindows(
         regime=regime,
-        windows=tuple(windows),
+        windows=windows,
         w_plus=w_plus,
         w_minus=w_minus,
         jc_plus=critical_jp_upper(params.J, params.Delta),
@@ -597,6 +566,8 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
     psi_e is kept at every time; phi only at `snapshots`, which must be
     sampled times (default: all of them).
     """
+    if not math.isfinite(x0) or x0 != int(x0):
+        raise ParameterError(f"x0 must be an integer site (got {x0!r})")
     times = _checked_times(times)
     snapshots = times if snapshots is None else times[
         [_time_index(times, t) for t in np.atleast_1d(snapshots)]]
@@ -616,25 +587,24 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
                         psi_e=psi_e, phi=phi, snapshots=snapshots)
 
 
-def wavefront_position(x: np.ndarray, profile: np.ndarray,
-                       lobe_floor: float = 1e-3, edge_frac: float = 0.1) -> int:
+def wavefront_position(x: np.ndarray, profile: np.ndarray) -> int:
     """Ballistic wavefront location |x| of a symmetric position profile.
 
     Folds the profile onto |x|, finds the outermost local maximum above
-    lobe_floor * max (the leading caustic lobe), and returns the outermost
-    site where the profile still reaches edge_frac of that lobe height.
+    1e-3 of the maximum (the leading caustic lobe), and returns the outermost
+    site where the profile still reaches a tenth of that lobe height.
     """
     x = np.asarray(x)
     profile = np.asarray(profile, dtype=float)
     folded = np.zeros(int(np.max(np.abs(x))) + 1)
     np.maximum.at(folded, np.abs(x), profile)
     mid = folded[1:-1]
-    lobes = np.flatnonzero((mid > lobe_floor * folded.max())
+    lobes = np.flatnonzero((mid > 1e-3 * folded.max())
                            & (mid >= folded[:-2]) & (mid >= folded[2:])) + 1
     if lobes.size == 0:
         raise ParameterError("profile has no resolvable leading lobe")
     lobe = int(lobes[-1])
-    reached = np.flatnonzero(folded[lobe + 1:] >= edge_frac * folded[lobe])
+    reached = np.flatnonzero(folded[lobe + 1:] >= 0.1 * folded[lobe])
     return lobe + 1 + int(reached[-1]) if reached.size else lobe
 
 

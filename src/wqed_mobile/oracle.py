@@ -77,23 +77,21 @@ def _apply_blocks(diag, e_gap, w, phi, psi_e):
 
 
 def chebyshev_evolve_blocks(diag: np.ndarray, e_gap: np.ndarray, coupling: float,
-                            phi0: np.ndarray, psi_e0: np.ndarray, t: float,
-                            coupling_norm: float | None = None,
-                            tol: float = 1e-16) -> tuple[np.ndarray, np.ndarray]:
+                            phi0: np.ndarray, psi_e0: np.ndarray, t: float
+                            ) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i H t) on (n_blocks, L) photon + (n_blocks,) excited amplitudes.
 
     Each block Hamiltonian is diagonal plus a border column of `coupling`;
     the spectrum is rigorously contained in [min diag - |Omega|,
     max diag + |Omega|] with |Omega| = coupling * sqrt(L), which fixes the
     Chebyshev scaling.  Terms are summed until the Bessel coefficients fall
-    below tol, so the result carries no time-step error.
+    below 1e-16, so the result carries no time-step error (at t = 0 one
+    term with coefficient 1 remains).
     """
     from scipy.special import jv  # scipy is needed only by this oracle
 
-    if t == 0.0:
-        return phi0.copy(), psi_e0.copy()
     n_blocks, L = phi0.shape
-    om = coupling_norm if coupling_norm is not None else abs(coupling) * math.sqrt(L)
+    om = abs(coupling) * math.sqrt(L)
     lo = min(float(diag.min()), float(e_gap.min())) - om
     hi = max(float(diag.max()), float(e_gap.max())) + om
     a = 0.5 * (hi + lo)
@@ -103,7 +101,7 @@ def chebyshev_evolve_blocks(diag: np.ndarray, e_gap: np.ndarray, coupling: float
     n_est = int(bt + 14.0 * (bt + 20.0) ** (1.0 / 3.0) + 25.0)
     orders = np.arange(n_est + 1)
     bessel = jv(orders, bt)
-    keep = np.flatnonzero(np.abs(bessel) > tol)
+    keep = np.flatnonzero(np.abs(bessel) > 1e-16)
     n_terms = int(keep[-1]) + 1 if keep.size else 1
 
     sdiag = (diag - a) / b
@@ -156,20 +154,17 @@ def _gaussian_packet(p: np.ndarray, center: float, sigma: float, x0: float
 
 
 def wavepacket_scattering_oracle(params: ModelParams, k0: float, p0: float,
-                                 sigma_p: float, t_final: float,
-                                 x_photon: float | None = None,
-                                 x_emitter: float = 0.0,
-                                 weight_cut: float = 1e-16) -> WavepacketResult:
+                                 sigma_p: float, t_final: float) -> WavepacketResult:
     """Scatter Gaussian photon/emitter packets and measure the outcome.
 
-    The initial product state (photon centered at p0 and position x_photon,
-    ground-state emitter at k0 and x_emitter) is decomposed into total-
-    momentum blocks, evolved exactly to t_final, and the final photon
-    momentum population is split into a transmitted branch (the arc within
-    10 sigma_p of p0) and the complementary reflected branch whose edges are
-    the circle midpoints between p0 and the measured reflected peak.
-
-    x_photon defaults to placing the collision at 0.45 * t_final.
+    The packets sit at fixed places: the ground-state emitter, centered at
+    k0, at site 0, and the photon, centered at p0, where it meets the emitter
+    at 0.45 * t_final.  Their product is decomposed into total-momentum
+    blocks (those above 1e-16 of the largest block weight), evolved exactly
+    to t_final, and the final photon momentum population is split into a
+    transmitted branch (the arc within 10 sigma_p of p0) and the
+    complementary reflected branch whose edges are the circle midpoints
+    between p0 and the measured reflected peak.
     """
     L = params.L
     if sigma_p <= 0:
@@ -182,9 +177,7 @@ def wavepacket_scattering_oracle(params: ModelParams, k0: float, p0: float,
         warnings.warn("photon packet overlaps a band edge (zero group "
                       "velocity); branch populations may be unreliable",
                       OracleInvalid, stacklevel=2)
-    v_rel = float(v_photon(params, p0) - v_emitter(params, k0))
-    if x_photon is None:
-        x_photon = x_emitter - 0.45 * t_final * v_rel
+    x_photon = -0.45 * t_final * float(v_photon(params, p0) - v_emitter(params, k0))
     v_max = 2.0 * (params.J + params.Jp)
     if t_final * v_max >= L / 2.0:
         warnings.warn("t_final allows wrap-around on the ring; reduce t_final "
@@ -192,7 +185,7 @@ def wavepacket_scattering_oracle(params: ModelParams, k0: float, p0: float,
 
     p = momentum_grid(L)
     a_ph = _gaussian_packet(p, p0, sigma_p, x_photon)
-    b_qb = _gaussian_packet(p, k0, sigma_p, x_emitter)
+    b_qb = _gaussian_packet(p, k0, sigma_p, 0.0)
 
     # phi_K(p) = A(p) B(K - p): emitter index j = index(K) - index(p) on the
     # closed grid.
@@ -200,7 +193,7 @@ def wavepacket_scattering_oracle(params: ModelParams, k0: float, p0: float,
     j_idx = grid_sub_index(m_idx[:, None], m_idx[None, :], L)
     amp_full = a_ph[None, :] * b_qb[j_idx]
     block_w = np.sum(np.abs(amp_full) ** 2, axis=1)
-    keep = np.flatnonzero(block_w > weight_cut * block_w.max())
+    keep = np.flatnonzero(block_w > 1e-16 * block_w.max())
     phi0 = amp_full[keep]
     norm = math.sqrt(float(np.sum(np.abs(phi0) ** 2)))
     phi0 /= norm
@@ -210,9 +203,7 @@ def wavepacket_scattering_oracle(params: ModelParams, k0: float, p0: float,
     e_gap = gap_energy(params, kgrid)
     phi_t, psi_t = chebyshev_evolve_blocks(
         diag, e_gap, params.Omega / math.sqrt(L), phi0,
-        np.zeros(keep.size, dtype=complex), t_final,
-        coupling_norm=params.Omega,
-    )
+        np.zeros(keep.size, dtype=complex), t_final)
 
     n_p = np.sum(np.abs(phi_t) ** 2, axis=0)
     excited = float(np.sum(np.abs(psi_t) ** 2))

@@ -47,8 +47,9 @@ log = logging.getLogger(__name__)
 #: |J sin p_i - J' sin k_i| below this is treated as a velocity degeneracy.
 DEGENERACY_TOL = 1e-12
 
-#: Residual threshold for accepting the sign-prefixed arccos branch of p_f2.
-BRANCH_TOL = 1e-9
+#: Relative residual above which the sign-prefixed arccos root of p_f2 is
+#: replaced by the exact second root.
+BRANCH_TOL = 1e-10
 
 #: Column order of the sweep table (fixed external schema).
 SWEEP_COLUMNS = (
@@ -95,8 +96,9 @@ def _scatter_arrays(params: ModelParams, k_i: np.ndarray, p_i: np.ndarray):
     t = np.where(degenerate, 0.0 + 0.0j, np.where(free, 1.0 + 0.0j, detuning / safe))
     r = np.where(degenerate, -1.0 + 0.0j, np.where(free, 0.0j, -1j * safe_gamma / safe))
 
-    # Inelastic momentum: sign-prefixed arccos, then verify on-shell and fall
-    # back to the mirror branch if the prefactor picked the spurious root.
+    # Inelastic momentum: sign-prefixed arccos, verified on-shell.  Where that
+    # fails, and at a velocity degeneracy (p_i at a band extremum, whose
+    # limiting second root is the same), take the exact root -p_i - 2 arg z(K).
     vdiff = v_emitter(params, k_i) - v_photon(params, p_i)
     arg = np.cos(p_i) - params.Jp * np.sin(K) * vdiff / absz2
     arg = np.clip(arg, -1.0, 1.0)
@@ -107,13 +109,10 @@ def _scatter_arrays(params: ModelParams, k_i: np.ndarray, p_i: np.ndarray):
     if np.any(flip & ~degenerate):
         n_bad = int(np.count_nonzero(flip & ~degenerate))
         log.warning("arccos sign prefactor failed on-shell check at %d point(s); "
-                    "selected the mirror branch", n_bad)
-    res_mirror = np.abs(omega_tilde(params, K, -p_f2) - energy)
-    p_f2 = np.where(flip & (res_mirror < res), -p_f2, p_f2)
-
-    # Velocity degeneracy means p_i sits at an extremum of the effective
-    # band; the limiting second root coincides with -p_i - 2 arg z(K).
-    p_f2 = np.where(degenerate, wrap(-p_i - 2.0 * np.angle(z)), wrap(p_f2))
+                    "selected the exact second root", n_bad)
+    exact = degenerate | flip
+    p_f2 = wrap(p_f2)
+    p_f2[exact] = wrap(-p_i[exact] - 2.0 * np.angle(z[exact]))
     k_f2 = wrap(K - p_f2)
 
     return {
@@ -134,12 +133,12 @@ def _scatter_arrays(params: ModelParams, k_i: np.ndarray, p_i: np.ndarray):
     }
 
 
-def scatter(params: ModelParams, k_i: float, p_i: float,
-            warn_degenerate: bool = True) -> ScatterOutcome:
-    """Scattering amplitudes for a single initial pair (k_i, p_i)."""
+def scatter(params: ModelParams, k_i: float, p_i: float) -> ScatterOutcome:
+    """Scattering amplitudes for a single initial pair (k_i, p_i); warns at a
+    velocity degeneracy, where it returns the limit t = 0, r = -1."""
     out = _scatter_arrays(params, np.array([k_i]), np.array([p_i]))
     degenerate = bool(out["degenerate"][0])
-    if degenerate and warn_degenerate:
+    if degenerate:
         warnings.warn(
             "initial photon and emitter group velocities are degenerate; "
             "returning the full-reflection limit t=0, r=-1",

@@ -174,7 +174,7 @@ def test_criterion_06_fixed_k_emission_reproduction():
     traj = evolve_fixed_K(params, 0.0, times)
     n_p, _ = photon_spectrum_and_directionality(traj, 200.0)
     p = momentum_grid(params.L)
-    peaks = sorted(spectrum_peaks(p, n_p, 2))
+    peaks = sorted(spectrum_peaks(p, n_p))
     ref = math.atan(2.0 * math.sqrt(2.0))
     dp = 2.0 * math.pi / params.L
     peak_dev = max(abs(peaks[0] + ref), abs(peaks[1] - ref))

@@ -79,8 +79,7 @@ def test_chebyshev_matches_dense_evolution():
         phi_t, psi_t = chebyshev_evolve_blocks(
             diag, np.array([float(gap_energy(params, K))]),
             params.Omega / math.sqrt(128.0),
-            v[None, 1:], np.array([v[0]]), t,
-            coupling_norm=params.Omega)
+            v[None, 1:], np.array([v[0]]), t)
         assert abs(psi_t[0] - traj.psi_e[0]) < 1e-10
         assert np.abs(phi_t[0] - traj.phi[0]).max() < 1e-10
 
