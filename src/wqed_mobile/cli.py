@@ -177,9 +177,13 @@ def _emit_localized(args, params):
     snapshots = args.snapshot if args.snapshot else [args.tmax]
     named = {}
     for s in snapshots:
-        if named.setdefault(f"{s:g}", s) != s:
-            raise ParameterError(f"snapshots t = {named[f'{s:g}']!r} and t = {s!r} "
-                                 f"would both write _x_t{s:g}.csv")
+        if s < 0:
+            raise ParameterError(f"--snapshot must be >= 0 (got {s!r})")
+        key = f"{s:g}"
+        if key in named:  # a repeat, or a time that rounds to the same name
+            raise ParameterError(f"--snapshot t = {named[key]!r} and t = {s!r} "
+                                 f"would both write _x_t{key}.csv")
+        named[key] = s
         if not np.any(np.abs(times - s) <= 1e-12 * max(1.0, s)):
             times = np.sort(np.append(times, s))
     run = evolve_localized(params, args.x0, times, snapshots)

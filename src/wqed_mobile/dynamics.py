@@ -15,7 +15,8 @@ eigendecomposition, and every requested time carries no integrator error.
 An emitter localized at site x0 is the uniform superposition
 c_K = e^{i K x0} / sqrt(L) of block ground states; position-space
 observables are assembled from the per-block trajectories with discrete
-Fourier transforms on the (L-even, hence closed) momentum grid.
+Fourier transforms on the (L-even, hence closed) momentum grid.  Block -K
+is block K with p -> -p, so such a run solves L/2 + 1 blocks (one at J' = 0).
 """
 
 from __future__ import annotations
@@ -564,7 +565,8 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
     """Evolve every K block for an emitter initially excited at site x0.
 
     psi_e is kept at every time; phi only at `snapshots`, which must be
-    sampled times (default: all of them).
+    sampled times (default: all of them).  Only blocks K = -pi .. 0 are
+    solved; block -K is block K read at -p, and at J' = 0 one solve serves all.
     """
     if not math.isfinite(x0) or x0 != int(x0):
         raise ParameterError(f"x0 must be an integer site (got {x0!r})")
@@ -576,13 +578,21 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
     kgrid = momentum_grid(L)
     c = np.exp(1j * kgrid * x0) / math.sqrt(L)
 
+    n = np.arange(L)
+    flip = (L - n) % L  # grid index of -p_n
+    # Block -K is block K read at -p (K = -pi and 0 are their own mirrors and
+    # keep their own order, written last); at J' = 0 every block is one matrix.
+    serves = ({0: [(m, n) for m in n]} if params.Jp == 0 else
+              {m: [(flip[m], flip), (m, n)] for m in range(L // 2 + 1)})
     no_photon = np.zeros(L, dtype=complex)
     work = _work_array(L)
     psi_e = np.empty((times.size, L), dtype=complex)
     phi = np.empty((snapshots.size, L, L), dtype=complex)
-    for m, K in enumerate(kgrid):
-        psi_e[:, m], phi[:, m, :] = _evolve_modes(_block_modes(params, K, work), 1.0,
-                                                  no_photon, times, snapshots)
+    for source, columns in serves.items():
+        psi, ph = _evolve_modes(_block_modes(params, kgrid[source], work), 1.0,
+                                no_photon, times, snapshots)
+        for m, order in columns:
+            psi_e[:, m], phi[:, m, :] = psi, ph[:, order]
     return LocalizedRun(params=params, x0=int(x0), times=times, c=c,
                         psi_e=psi_e, phi=phi, snapshots=snapshots)
 

@@ -237,6 +237,27 @@ def test_flatness_fit_detects_weak_coupling_cancellation():
     assert abs(fr2.c2) > 0.1 * abs(fr2.c4) * fr2.half_window**2
 
 
+def test_taylor_c2_matches_finite_differences_and_cancels():
+    # The README's closed form from implicit differentiation of the pole
+    # equation, c2 = [-J' + 2 J J' Omega^2 X^{-3/2}] / (1 + Omega^2 E X^{-3/2})
+    # with X = E^2 - 4|z(pi)|^2, against central differences of solved upper
+    # energies about K = pi.  With the level on the band edge (Delta = 0,
+    # J' = J/2) it tends to 0 as Omega -> 0, which the least-squares fit of
+    # test_flatness_fit_detects_weak_coupling_cancellation cannot show.
+    J, jp, h = 1.0, 0.5, 1e-4
+    c2s = []
+    for omega in (1.0, 0.3, 0.1, 0.03, 0.01):
+        params = ModelParams(J=J, Jp=jp, Delta=0.0, Omega=omega, L=400)
+        e_lo, e, e_hi = (solve_bound_state(params, math.pi + d, +1).energy
+                         for d in (-h, 0.0, h))
+        x = e**2 - float(band_halfwidth(params, math.pi)) ** 2
+        c2 = (-jp + 2 * J * jp * omega**2 * x**-1.5) / (1 + omega**2 * e * x**-1.5)
+        assert (e_hi + e_lo - 2 * e) / (2 * h * h) == pytest.approx(c2, rel=0.01)
+        c2s.append(c2)
+    assert np.all(np.diff(np.abs(c2s)) < 0)
+    assert abs(c2s[-1]) < 1e-3
+
+
 def test_oracle_equivalence_improves_with_L():
     cases = [
         (dict(J=1.0, Jp=0.5, Delta=0.0, Omega=1.0), math.pi / 3),

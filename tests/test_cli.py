@@ -275,6 +275,23 @@ def test_snapshots_sharing_a_file_name_exit_2(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_repeated_snapshot_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["emit-localized", "--L", "8", "--tmax", "10", "--nt", "3",
+                 "--snapshot", "5", "--snapshot", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "--snapshot t = 5.0 and t = 5.0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_snapshot_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["emit-localized", "--L", "8", "--tmax", "10", "--nt", "3",
+                 "--snapshot", "-1"]) == 2
+    assert "--snapshot must be >= 0 (got -1.0)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_every_command_has_help(capsys):
     with pytest.raises(SystemExit) as top:
         main(["--help"])

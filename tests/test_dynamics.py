@@ -28,6 +28,7 @@ from wqed_mobile import (
     spectrum_peaks,
     wavefront_position,
 )
+from wqed_mobile import dynamics
 from wqed_mobile.dynamics import (
     _block_modes,
     _work_array,
@@ -443,12 +444,27 @@ def test_localized_static_emitter_recovers_fixed_case():
     assert abs(wavefront_position(obs.x, obs.n_photon) - 2.0 * t) <= 3
 
 
-def test_localized_threads_deterministic():
+def test_localized_run_is_deterministic():
     params = ModelParams(J=1.0, Jp=0.3, Delta=0.5, Omega=0.4, L=64)
     run1 = evolve_localized(params, 0, [11.0])
     run2 = evolve_localized(params, 0, [11.0])
     assert np.array_equal(run1.psi_e, run2.psi_e)
     assert np.array_equal(run1.phi, run2.phi)
+
+
+@pytest.mark.parametrize("jp, solves", [(0.5, 21), (0.0, 1)])
+def test_localized_solves_each_mirrored_block_once(monkeypatch, jp, solves):
+    # Block -K is block K with p -> -p, so L = 40 blocks take L/2 + 1 solves;
+    # at J' = 0 all blocks are the same matrix and take one.
+    calls = []
+
+    def counted(params, K, work):
+        calls.append(K)
+        return _block_modes(params, K, work)
+
+    monkeypatch.setattr(dynamics, "_block_modes", counted)
+    evolve_localized(ModelParams(J=1.0, Jp=jp, Delta=0.5, Omega=0.4, L=40), 0, [0.0, 5.0])
+    assert len(calls) == solves
 
 
 def _dense_evolution(params, K, psi_e0, phi0, times):
@@ -511,6 +527,22 @@ def test_arrowhead_engine_matches_dense_property(block, seed):
         obs = position_observables(run, t)
         assert abs(obs.n_photon.sum() - obs.p_ground.sum()) <= 1e-10
         assert abs(obs.p_excited.sum() + obs.p_ground.sum() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("L", [4, 6, 8, 32])
+@pytest.mark.parametrize("jp", [0.0, 0.3, 1.0, 1.7])
+@pytest.mark.parametrize("omega", [0.0, 0.4])
+def test_localized_columns_match_their_own_dense_blocks(L, jp, omega):
+    # Each column m of a localized run is the evolution of block K_m from the
+    # excited emitter, checked against that block's own dense eigh, so that a
+    # mirrored column is never checked only against its source block.
+    params = ModelParams(J=1.0, Jp=jp, Delta=0.5, Omega=omega, L=L)
+    times = np.array([0.0, 0.7, 13.0, 40.0])
+    run = evolve_localized(params, 3, times, snapshots=[13.0, 40.0])
+    for m, K in enumerate(momentum_grid(L)):
+        psi_ref, phi_ref = _dense_evolution(params, K, 1.0, np.zeros(L), times)
+        assert np.abs(run.psi_e[:, m] - psi_ref).max() <= 1e-12
+        assert np.abs(run.phi[:, m, :] - phi_ref[2:]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("jp, omega, K", [
