@@ -174,7 +174,7 @@ def _emit_fixed_k(args, params):
 
 def _emit_localized(args, params):
     times = _time_grid(args)
-    snapshots = args.snapshot if args.snapshot else [args.tmax]
+    snapshots = [s + 0.0 for s in args.snapshot or [args.tmax]]  # + 0.0 turns -0 into 0
     named = {}
     for s in snapshots:
         if s < 0:

@@ -275,12 +275,15 @@ def test_snapshots_sharing_a_file_name_exit_2(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_repeated_snapshot_exit_2(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("first, again, message", [
+    ("5", "5", "--snapshot t = 5.0 and t = 5.0"),
+    ("0", "-0", "--snapshot t = 0.0 and t = 0.0"),
+])
+def test_repeated_snapshot_exit_2(tmp_path, monkeypatch, capsys, first, again, message):
     monkeypatch.chdir(tmp_path)
     assert main(["emit-localized", "--L", "8", "--tmax", "10", "--nt", "3",
-                 "--snapshot", "5", "--snapshot", "5"]) == 2
-    err = capsys.readouterr().err
-    assert "--snapshot t = 5.0 and t = 5.0" in err
+                 "--snapshot", first, "--snapshot", again]) == 2
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
