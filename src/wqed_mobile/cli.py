@@ -150,11 +150,15 @@ def _bound_wavefunction(args, params):
 def _time_grid(args) -> np.ndarray:
     if args.nt < 0:
         raise ParameterError(f"--nt must be >= 0 (got {args.nt})")
+    if args.tmax < 0:
+        raise ParameterError(f"--tmax must be >= 0 (got {args.tmax})")
     return np.linspace(0.0, args.tmax, args.nt)
 
 
 def _emit_fixed_k(args, params):
     times = _time_grid(args)
+    if not times.size or times[-1] != args.tmax:
+        raise ParameterError(f"--nt {args.nt} does not sample --tmax {args.tmax}")
     traj = evolve_fixed_K(params, args.K, times)
     n_p, direction = photon_spectrum_and_directionality(traj, args.tmax)
     try:

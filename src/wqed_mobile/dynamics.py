@@ -11,9 +11,11 @@ each eigenvector follows from its eigenvalue (Gu & Eisenstat, SIAM J.
 Matrix Anal. Appl. 15, 1266 (1994); R.-C. Li, LAPACK Working Note 89
 (1993)).  A block costs O(L^2) instead of a dense O(L^3)
 eigendecomposition, and every requested time carries no integrator error.
+Every block starts from the excited emitter with the field empty, the
+spontaneous emission that is the only dynamics evolved here.
 
 An emitter localized at site x0 is the uniform superposition
-c_K = e^{i K x0} / sqrt(L) of block ground states; position-space
+c_K = e^{i K x0} / sqrt(L) of the blocks' excited states; position-space
 observables are assembled from the per-block trajectories with discrete
 Fourier transforms on the (L-even, hence closed) momentum grid.  Block -K
 is block K with p -> -p, so such a run solves L/2 + 1 blocks (one at J' = 0).
@@ -77,7 +79,7 @@ def _time_index(times: np.ndarray, t: float, what: str = "sampled times") -> int
     """Index of the sampled time t in a trajectory's `times`."""
     i = int(np.argmin(np.abs(times - t))) if times.size else 0
     if not times.size or abs(times[i] - t) > 1e-12 * max(1.0, abs(t)):
-        raise ParameterError(f"t = {t!r} is not one of the {what}")
+        raise ParameterError(f"t = {float(t)!r} is not one of the {what}")
     return i
 
 
@@ -92,8 +94,13 @@ def _work_array(L: int) -> np.ndarray:
 
 
 def _check_block_budget(L: int, n_blocks: int, n_times: int, n_snapshots: int):
-    # A few (L+1) x (L+2) real arrays per block, plus every stored psi_e and phi.
-    check_memory(6 * (L + 1) * (L + 2) * 8 + n_blocks * (n_times + n_snapshots * L) * 16,
+    # The block in flight: its (L+1) x L inverse with the ~400 doubles a row
+    # that BLAS packs of it, the root scratch and one temporary of its size,
+    # the phases over the times (with their real argument) and the snapshots
+    # (with two products of their size).  Then every stored psi_e and phi.
+    check_memory(8 * ((L + 1) * (L + 512) + 4 * max(_CHUNK, L + 2))
+                 + 16 * (L + 1) * (2 * n_times + 3 * n_snapshots)
+                 + 16 * n_blocks * (n_times + n_snapshots * L),
                  "K-block work", "reduce L, the sample count or the snapshots")
 
 
@@ -124,6 +131,8 @@ class _BlockModes:
     emitter span the eigenstates n, with emitter amplitude sqrt(w_n) and
     photon amplitude g sqrt(w_n) / (E_n - pole) on every member of a bright
     group; `inverse` holds 1 / (E_n - pole) over (state, bright group).
+    Dark states have no emitter amplitude, so the excited emitter never
+    populates them.
     """
 
     coupling: float
@@ -273,27 +282,18 @@ def _model_step(at_lo, tau, h, near, far):
     return np.where(at_lo, up, down)
 
 
-def _evolve_modes(modes: _BlockModes, psi_e0: complex, phi0: np.ndarray,
-                  times: np.ndarray, snapshots: np.ndarray
+def _evolve_modes(modes: _BlockModes, times: np.ndarray, snapshots: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """psi_e at every time and phi at every snapshot from (psi_e0, phi0)."""
-    g, group, bright, inv = modes.coupling, modes.group, modes.bright, modes.inverse
-    size = np.bincount(group)
-    total = (np.bincount(group, weights=phi0.real, minlength=size.size)
-             + 1j * np.bincount(group, weights=phi0.imag, minlength=size.size))
-    # Overlap <n|v0>/sqrt(w_n) = psi_e0 + g sum_p phi0_p / (E_n - pole(p)).
-    overlap = psi_e0 + g * _real_times(inv, total[bright])
-    amp = modes.weight * overlap
-    psi_e = _phases(times, modes.energy) @ amp
+    """psi_e at every time and phi at every snapshot from the excited emitter,
+    whose overlap with eigenstate n is sqrt(w_n)."""
+    psi_e = _phases(times, modes.energy) @ modes.weight
     phase = _phases(modes.energy, snapshots)
-    phase *= amp[:, None]
-    coupled = np.zeros((size.size, snapshots.size), dtype=complex)
-    coupled[bright] = _real_times(inv.T, phase)
-    coupled *= g
-    # The dark part of phi0, less its group mean on bright groups, turns at its pole.
-    dark = _phases(snapshots, modes.pole[group])
-    dark *= phi0 - np.where(bright, total / size, 0.0)[group]
-    return psi_e, coupled[group].T + dark
+    phase *= modes.weight[:, None]
+    coupled = np.zeros((modes.pole.size, snapshots.size), dtype=complex)
+    # The real inverse times the complex phases, as one real product.
+    coupled[modes.bright] = (modes.inverse.T @ phase.view(float)).view(complex)
+    coupled *= modes.coupling
+    return psi_e, coupled[modes.group].T
 
 
 def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,13 +306,6 @@ def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Real matrix times complex array, as one real product."""
-    z = np.ascontiguousarray(z)
-    pairs = z.view(float).reshape(z.shape[0], 2 * math.prod(z.shape[1:]))
-    return (a @ pairs).view(complex).reshape((a.shape[0],) + z.shape[1:])
-
-
 def _checked_times(times) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or times.size == 0:
@@ -322,15 +315,12 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
-def evolve_fixed_K(params: ModelParams, K: float, times,
-                   psi_e0: complex = 1.0, phi0: np.ndarray | None = None
-                   ) -> KBlockTrajectory:
-    """Evolve one K block exactly; default initial state is the excited emitter."""
+def evolve_fixed_K(params: ModelParams, K: float, times) -> KBlockTrajectory:
+    """Evolve one K block exactly from the excited emitter |K> with no photon."""
     times = _checked_times(times)
     _check_block_budget(params.L, 1, times.size, times.size)
-    phi0 = np.zeros(params.L, dtype=complex) if phi0 is None else np.asarray(phi0, complex)
     modes = _block_modes(params, K, _work_array(params.L))
-    psi_e, phi = _evolve_modes(modes, complex(psi_e0), phi0, times, times)
+    psi_e, phi = _evolve_modes(modes, times, times)
     return KBlockTrajectory(K=float(K), times=times, psi_e=psi_e, phi=phi)
 
 
@@ -542,14 +532,6 @@ class LocalizedRun:
     phi: np.ndarray
     snapshots: np.ndarray
 
-    def block_trajectory(self, m: int) -> KBlockTrajectory:
-        """Trajectory of the m-th momentum block (unit initial excitation) at
-        the snapshot times."""
-        kgrid = momentum_grid(self.params.L)
-        rows = [_time_index(self.times, t) for t in self.snapshots]
-        return KBlockTrajectory(K=float(kgrid[m]), times=self.snapshots,
-                                psi_e=self.psi_e[rows, m], phi=self.phi[:, m, :])
-
     def pe_total(self) -> np.ndarray:
         """Total excited-state population at every sampled time."""
         return np.sum(np.abs(self.c[None, :]) ** 2 * np.abs(self.psi_e) ** 2, axis=1)
@@ -584,13 +566,11 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
     # keep their own order, written last); at J' = 0 every block is one matrix.
     serves = ({0: [(m, n) for m in n]} if params.Jp == 0 else
               {m: [(flip[m], flip), (m, n)] for m in range(L // 2 + 1)})
-    no_photon = np.zeros(L, dtype=complex)
     work = _work_array(L)
     psi_e = np.empty((times.size, L), dtype=complex)
     phi = np.empty((snapshots.size, L, L), dtype=complex)
     for source, columns in serves.items():
-        psi, ph = _evolve_modes(_block_modes(params, kgrid[source], work), 1.0,
-                                no_photon, times, snapshots)
+        psi, ph = _evolve_modes(_block_modes(params, kgrid[source], work), times, snapshots)
         for m, order in columns:
             psi_e[:, m], phi[:, m, :] = psi, ph[:, order]
     return LocalizedRun(params=params, x0=int(x0), times=times, c=c,

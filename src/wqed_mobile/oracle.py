@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _check_block_budget, block_hamiltonian
-from .errors import OracleInvalid, ParameterError
+from .dynamics import block_hamiltonian
+from .errors import OracleInvalid, ParameterError, check_memory
 from .model import (
     ModelParams,
     gap_energy,
@@ -55,14 +55,14 @@ class BlockSpectrum:
 
 def dense_block_diagonalize(params: ModelParams, K: float) -> BlockSpectrum:
     """Full eigendecomposition of the K block; weights are |<K|v_n>|^2."""
-    _check_block_budget(params.L, 0, 0, 0)
+    check_memory(6 * (params.L + 1) * (params.L + 2) * 8, "dense K-block work", "reduce L")
     w, v = np.linalg.eigh(block_hamiltonian(params, K))
     return BlockSpectrum(K=float(K), eigenvalues=w, weights=np.abs(v[0, :]) ** 2)
 
 
 def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
     """Eigenvalues only (ascending); cheaper than the full decomposition."""
-    _check_block_budget(params.L, 0, 0, 0)
+    check_memory(6 * (params.L + 1) * (params.L + 2) * 8, "dense K-block work", "reduce L")
     return np.linalg.eigvalsh(block_hamiltonian(params, K))
 
 

@@ -1,6 +1,8 @@
 """CLI tests: subcommands, file formats, determinism, exit codes."""
 
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
@@ -235,6 +237,19 @@ def test_negative_nt_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["emit-localized", "--L", "8", "--tmax", "-5"], "--tmax must be >= 0"),
+    (["emit-fixed-k", "--K", "0", "--L", "8", "--tmax", "-1"], "--tmax must be >= 0"),
+    (["emit-fixed-k", "--K", "0", "--L", "8", "--nt", "1"], "--nt 1 does not sample"),
+    (["emit-fixed-k", "--K", "0", "--L", "8", "--nt", "0"], "--nt 0 does not sample"),
+])
+def test_time_grid_errors_name_the_flag_exit_2(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, work", [
     (["emit-localized", "--L", "12000", "--nt", "51"], "K-block work needs"),
     (["bound-wavefunction", "--K", "0", "--xmax", "100000000000"],
@@ -316,6 +331,25 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_public_optional_parameters_are_these_five():
+    # Each defaulted parameter of a public function is an option that tests
+    # and benchmarks must cover, so a new one has to be added here on purpose.
+    options = {}
+    for name in ("model", "scattering", "boundstates", "dynamics", "oracle", "cli", "errors"):
+        module = importlib.import_module(f"wqed_mobile.{name}")
+        for fname, fn in vars(module).items():
+            if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                    and not fname.startswith("_")):
+                defaulted = [p.name for p in inspect.signature(fn).parameters.values()
+                             if p.default is not p.empty]
+                if defaulted:
+                    options[fname] = defaulted
+    assert options == {"flatness_report": ["half_window", "n_points"],
+                       "resolve_threads": ["requested"],
+                       "evolve_localized": ["snapshots"],
+                       "main": ["argv"]}
 
 
 _FUZZ_VALID = st.floats(-5.0, 5.0).map(repr)

@@ -81,10 +81,13 @@ def test_times_validation_and_size_budget():
         evolve_fixed_K(params, 0.0, [1.0, 0.5])
     with pytest.raises(ParameterError):
         evolve_fixed_K(params, 0.0, [-1.0, 0.5])
-    # Over the budget in the eigh working set alone; raised before any allocation.
+    # Over the budget in the (L+1) x L inverse alone; raised before any allocation.
     with pytest.raises(SizeError):
         evolve_fixed_K(ModelParams(J=1.0, Jp=0.1, Delta=0.0, Omega=0.1, L=20_000),
                        0.0, [1.0])
+    # A fixed-K run at L = 7000 needs ~0.4 GiB and fits the budget (checked
+    # without allocating it).
+    dynamics._check_block_budget(7000, 1, 2, 2)
 
 
 def test_asymptotic_momenta_k0():
@@ -398,9 +401,6 @@ def test_localized_wavefronts_small_lattice():
     obs = position_observables(run, t)
     assert abs(wavefront_position(obs.x, obs.n_photon) - 2.0 * t) <= 3
     assert abs(wavefront_position(obs.x, obs.p_excited) - 1.0 * t) <= 3
-    # per-block accessor exposes the same normalized trajectories
-    blk = run.block_trajectory(5)
-    assert np.abs(blk.norms() - 1.0).max() < 1e-9
 
 
 def _wavefront_loop(x, profile):
@@ -475,11 +475,24 @@ def _dense_evolution(params, K, psi_e0, phi0, times):
     return amps[0], amps[1:].T
 
 
-def _random_state(L, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=L + 1) + 1j * rng.normal(size=L + 1)
-    v /= np.linalg.norm(v)
-    return v[0], v[1:]
+def _refined_dense_weights(params, K, cluster):
+    """Emitter weights |<K|v_n>|^2 of the dense eigh, refined by one step of
+    Ogita & Aishima (Japan J. Ind. Appl. Math. 35, 1007 (2018)) in long double.
+
+    eigh alone errs by ~eps ||h|| / gap: 2e-10 for two states 8.9e-7 apart when
+    a pole meets the emitter level at Omega = e^-13.  The step leaves pairs
+    closer than `cluster` unmixed, so only sums over such clusters hold.
+    """
+    h = block_hamiltonian(params, K)
+    x = np.linalg.eigh(h)[1].astype(np.longdouble)
+    r = np.eye(params.L + 1, dtype=np.longdouble) - x.T @ x
+    s = x.T @ h.astype(np.longdouble) @ x
+    lam = np.diag(s) / (1 - np.diag(r))
+    gap = lam[None, :] - lam[:, None]
+    far = np.abs(gap) > cluster
+    e = np.where(far, (s + lam[None, :] * r) / np.where(far, gap, 1), 0)
+    np.fill_diagonal(e, np.diag(r) / 2)
+    return ((x + x @ e)[0] ** 2).astype(float)
 
 
 @st.composite
@@ -495,8 +508,10 @@ def _blocks(draw):
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(block=_blocks(), seed=st.integers(0, 2**16))
-def test_arrowhead_engine_matches_dense_property(block, seed):
+@given(block=_blocks())
+# The emitter level on a pole pair, where unrefined eigh weights err by 2e-10.
+@example(block=(ModelParams(J=1.0, Jp=0.0, Delta=0.0, Omega=math.exp(-13.0), L=52), 0.0))
+def test_arrowhead_engine_matches_dense_property(block):
     params, K = block
     L = params.L
     # Spectrum: the secular roots plus the dark states at each pole group.
@@ -510,13 +525,13 @@ def test_arrowhead_engine_matches_dense_property(block, seed):
     # Weights, summed over clusters of eigenvalues closer than 1e-9, where the
     # dense eigenvectors are not unique.
     cuts = np.flatnonzero(np.diff(dense.eigenvalues) > 1e-9) + 1
+    dense_weights = _refined_dense_weights(params, K, 1e-9)
     assert np.abs(np.add.reduceat(weights[order], np.r_[0, cuts])
-                  - np.add.reduceat(dense.weights, np.r_[0, cuts])).max() <= 1e-10
+                  - np.add.reduceat(dense_weights, np.r_[0, cuts])).max() <= 1e-10
 
     times = np.array([0.0, 0.7, 13.0, 91.0])
-    psi_e0, phi0 = _random_state(L, seed)
-    traj = evolve_fixed_K(params, K, times, psi_e0=psi_e0, phi0=phi0)
-    psi_ref, phi_ref = _dense_evolution(params, K, psi_e0, phi0, times)
+    traj = evolve_fixed_K(params, K, times)
+    psi_ref, phi_ref = _dense_evolution(params, K, 1.0, np.zeros(L), times)
     assert np.abs(traj.psi_e - psi_ref).max() <= 1e-10
     assert np.abs(traj.phi - phi_ref).max() <= 1e-10
     assert np.abs(traj.norms() - 1.0).max() <= 1e-10
@@ -572,5 +587,5 @@ def test_localized_snapshots_keep_phi_only_where_asked():
     assert np.array_equal(a.n_photon, b.n_photon)
     with pytest.raises(ParameterError, match="snapshot times"):
         position_observables(some, 4.0)
-    with pytest.raises(ParameterError, match="sampled times"):
-        evolve_localized(params, 2, times, snapshots=[3.0])
+    with pytest.raises(ParameterError, match="t = 4.5 is not one of the sampled times"):
+        evolve_localized(params, 2, times, snapshots=[4.5])
