@@ -4,15 +4,13 @@ Total momentum is conserved, so the dynamics splits into independent
 (L+1) x (L+1) blocks, one per total momentum K: the excited emitter |K> at
 energy E_{K,Delta} coupled with strength Omega/sqrt(L) to the L hybrid
 photon+recoil modes |p>_K at energies omega_tilde(K, p).  Each block is an
-arrowhead matrix, diagonal plus one border, and is evolved exactly from its
-eigenpairs in closed form: the eigenvalues are the roots of the finite-L
-secular equation, one per interval between the sorted photon poles, and
-each eigenvector follows from its eigenvalue (Gu & Eisenstat, SIAM J.
-Matrix Anal. Appl. 15, 1266 (1994); R.-C. Li, LAPACK Working Note 89
-(1993)).  A block costs O(L^2) instead of a dense O(L^3)
-eigendecomposition, and every requested time carries no integrator error.
-Every block starts from the excited emitter with the field empty, the
-spontaneous emission that is the only dynamics evolved here.
+arrowhead matrix, evolved exactly from its eigenpairs: the eigenvalues are
+the roots of the finite-L secular equation, one per interval between the
+sorted poles (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1266 (1994)),
+whose sum over the even ring has a closed form, the finite-ring lattice
+Green's function (Economou, Green's Functions in Quantum Physics).  So the
+eigenvalues cost O(L) per block, and only the stored 1 / (E_n - pole) O(L^2).
+Every block starts from the excited emitter with the field empty.
 
 An emitter localized at site x0 is the uniform superposition
 c_K = e^{i K x0} / sqrt(L) of the blocks' excited states; position-space
@@ -23,9 +21,11 @@ is block K with p -> -p, so such a run solves L/2 + 1 blocks (one at J' = 0).
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,27 +78,17 @@ def block_hamiltonian(params: ModelParams, K: float) -> np.ndarray:
 def _time_index(times: np.ndarray, t: float, what: str = "sampled times") -> int:
     """Index of the sampled time t in a trajectory's `times`."""
     i = int(np.argmin(np.abs(times - t))) if times.size else 0
-    if not times.size or abs(times[i] - t) > 1e-12 * max(1.0, abs(t)):
-        raise ParameterError(f"t = {float(t)!r} is not one of the {what}")
+    if not (times.size and abs(times[i] - t) <= 1e-12 * max(1.0, abs(times[i]))):
+        raise ParameterError(f"t = {float(t)!r} is not one of the {what}")  # also NaN, inf
     return i
 
 
-#: Elements of each (root, pole) work array of the secular solver.
-_CHUNK = 1 << 18
-
-
-def _work_array(L: int) -> np.ndarray:
-    """Scratch space of _block_modes for blocks of size L; reusing it across
-    blocks spares the page faults of fresh arrays."""
-    return np.empty(3 * max(_CHUNK, L + 2))
-
-
 def _check_block_budget(L: int, n_blocks: int, n_times: int, n_snapshots: int):
-    # The block in flight: its (L+1) x L inverse with the ~400 doubles a row
-    # that BLAS packs of it, the root scratch and one temporary of its size,
-    # the phases over the times (with their real argument) and the snapshots
-    # (with two products of their size).  Then every stored psi_e and phi.
-    check_memory(8 * ((L + 1) * (L + 512) + 4 * max(_CHUNK, L + 2))
+    # The block in flight: its (L+1) x L inverse, the ~400 doubles a row that
+    # BLAS packs of it and ~32 arrays over its roots; the phases over the times
+    # (and their argument) and the snapshots (and two products).  Then every
+    # stored psi_e and phi.
+    check_memory(8 * (L + 1) * (L + 544)
                  + 16 * (L + 1) * (2 * n_times + 3 * n_snapshots)
                  + 16 * n_blocks * (n_times + n_snapshots * L),
                  "K-block work", "reduce L, the sample count or the snapshots")
@@ -124,15 +114,14 @@ _EPS = np.finfo(float).eps
 class _BlockModes:
     """Eigenpairs of one K block.
 
-    Photon poles that agree to a few ulps form one group (an exact
-    degeneracy).  Within a group only the uniform combination couples to the
-    emitter; the rest are dark states at the group's pole.  A group whose
-    coupling rounds to nothing is dark as a whole.  The bright groups and the
-    emitter span the eigenstates n, with emitter amplitude sqrt(w_n) and
-    photon amplitude g sqrt(w_n) / (E_n - pole) on every member of a bright
-    group; `inverse` holds 1 / (E_n - pole) over (state, bright group).
-    Dark states have no emitter amplitude, so the excited emitter never
-    populates them.
+    Photon poles that coincide (to within rounding) form one group.  Within a
+    group only the uniform combination couples to the emitter; the rest are
+    dark states at the group's pole.  When the coupling rounds to nothing
+    every group is dark.  The bright groups and the emitter span the
+    eigenstates n, with emitter amplitude sqrt(w_n) and photon amplitude
+    g sqrt(w_n) / (E_n - pole) on every member of a bright group; `inverse`
+    holds 1 / (E_n - pole) over (state, bright group).  Dark states have no
+    emitter amplitude, so the excited emitter never populates them.
     """
 
     coupling: float
@@ -144,142 +133,236 @@ class _BlockModes:
     inverse: np.ndarray
 
 
-def _block_modes(params: ModelParams, K: float, work: np.ndarray) -> _BlockModes:
-    """Eigenpairs of the K block in O(L^2), without forming the matrix.
+class _Ring(NamedTuple):
+    b: float
+    ell: float
+    ell_c: float
+    group: np.ndarray
+    X: np.ndarray | None = None
+    w: np.ndarray | None = None
+    gap: np.ndarray | None = None
+    rank: np.ndarray | None = None
 
-    `work` comes from _work_array(L); callers that loop over K reuse it, and
-    the returned `inverse` may live in it until the next call.
+
+def _ring(params: ModelParams, K: float, tol: float) -> _Ring:
+    """The poles of the K block in X = L alpha / 2, where E = -2b cos alpha.
+
+    omega_tilde(K, p) = -2b cos(p + phi) with b = |z(K)| and phi = arg z(K),
+    so the even grid puts the poles on two families X = pi j + ell/2 and
+    pi j - ell/2, with ell = L phi mod 2 pi folded into [0, pi].  Families
+    within `tol` in energy merge into ell = 0 (J' = 0, K = 0, K = pi) or
+    ell = pi (J' = J at grid K); a band within it is one pole.  `group` is
+    each grid momentum's pole, in energy order; per pole, X, the offset w in
+    [-pi/2, pi/2] that puts the other family at x = -w mod pi about it, the
+    gap to the pole below (to the band edge for the first), and its rank r
+    among the L grid poles: X = ell/2 + (r // 2) ell + ((r + 1) // 2) ell_c.
     """
+    L = params.L
+    z = complex(z_of_K(params, K))
+    b = abs(z)
+    if 4 * b <= tol:
+        return _Ring(b, 0.0, math.pi, np.zeros(L, dtype=np.intp))
+    v = L * cmath.phase(z) / (2 * math.pi)
+    d = v - round(v)  # p + phi = 2 pi (i + d) / L with i integer; |d| is exact
+    ell, ell_c = 2 * math.pi * abs(d), math.pi * (1 - 2 * abs(d))
+    if 4 * b * min(ell, ell_c) <= tol * L:
+        ell, ell_c = (0.0, math.pi) if ell < ell_c else (math.pi, 0.0)
+    i = ((1 if d >= 0 else -1) * (np.arange(L) + round(v))) % L - L // 2  # X = pi |i + |d||
+    k = np.where(i >= 0, 2 * i, -2 * i - 1)  # each grid momentum's rank in energy
+    group = (k + 1) // 2 if ell == 0 else k // 2 if ell_c == 0 else k
+    rank = np.flatnonzero(np.diff(np.sort(group), prepend=-1))  # each pole's lowest rank
+    X = 0.5 * ell + rank // 2 * ell + (rank + 1) // 2 * ell_c
+    even = rank % 2 == 0
+    w = np.where(even, 1.0, -1.0) * (ell if ell <= 0.5 * math.pi else -ell_c)
+    gap = np.where(even, ell, ell_c)
+    gap[0] = X[0]
+    return _Ring(b, ell, ell_c, group, X, w, gap, rank)
+
+
+def _ring_sum_in_band(b: float, L: int, X, w, x):
+    """The secular sum S = (1/L) sum_p 1/(E - omega_tilde(K, p)) in the band,
+    S = [cot x + cot(x + w)] / (4b sin alpha) at L alpha / 2 = X + x, with x
+    from a pole X of one family and x + w from the other.  Returns S, -dS/dx,
+    its part from the poles at x = 0, the rounding scale of S (each cotangent
+    with its argument's rounding) and sin alpha."""
+    xw = x + w
+    s1, s2 = np.sin(x), np.sin(xw)
+    cot1, cot2 = np.cos(x) / s1, np.cos(xw) / s2
+    csc1, csc2 = 1 / (s1 * s1), 1 / (s2 * s2)
+    alpha = (2 / L) * (X + x)
+    sa = np.sin(alpha)
+    den = 4 * b * sa
+    S = (cot1 + cot2) / den
+    slope = (csc1 + csc2 + (cot1 + cot2) * np.cos(alpha) * (2 / L) / sa) / den
+    near = np.where(w == 0, csc1 + csc2, csc1) / den
+    scale = (np.abs(cot1) + np.abs(cot2) + np.abs(x) * csc1 + np.abs(xw) * csc2) / den
+    return S, slope, near, scale, sa
+
+
+def _ring_sum_below(b: float, L: int, ell: float, kappa):
+    """The secular sum S, dS/dkappa and s at E = -2b cosh kappa below the band,
+    S = (1 - q^2) / (s [(1 - q)^2 + 4 q sin^2(ell/2)]) with q = e^{-L kappa}:
+    the infinite ring's 1/s, s = -sqrt(E^2 - 4b^2), times the finite ring's."""
+    q, e1, e2 = np.exp(-L * kappa), np.expm1(-L * kappa), np.expm1(-2 * L * kappa)
+    sin2 = math.sin(0.5 * ell) ** 2
+    den = e1 * e1 + 4 * q * sin2
+    s = -2 * b * np.sinh(kappa)
+    S = -e2 / (den * s)
+    dF = 2 * L * q * (q * den + e2 * (1 - q - 2 * sin2)) / (den * den)
+    return S, (dF + S * 2 * b * np.cosh(kappa)) / s, s
+
+
+def _block_modes(params: ModelParams, K: float) -> _BlockModes:
+    """Eigenpairs of the K block without forming the matrix: O(L) for the
+    eigenvalues and weights, O(L^2) only for the stored `inverse`."""
     L = params.L
     u = omega_tilde(params, K, momentum_grid(L))
     g = params.Omega / math.sqrt(L)
     tol = 32 * _EPS * (params.J + params.Jp)  # exact degeneracies round apart by ~10 eps
-    order = np.argsort(u, kind="stable")
-    in_group = np.concatenate(([0], np.cumsum(np.diff(u[order]) > tol)))
-    group = np.empty(L, dtype=np.intp)
-    group[order] = in_group
-    size = np.bincount(in_group)
-    pole = np.bincount(in_group, weights=u[order]) / size
-    bright = g * np.sqrt(size) > tol
-    energy, weight, inverse = _secular_roots(pole[bright], size[bright].astype(float),
-                                             g * g, float(gap_energy(params, K)), work)
-    return _BlockModes(coupling=g, group=group, pole=pole, bright=bright,
+    ring = _ring(params, K, tol)
+    size = np.bincount(ring.group)
+    pole = np.bincount(ring.group, weights=u) / size
+    bright = np.full(size.size, g * math.sqrt(size.max()) > tol)
+    energy, weight, inverse = _secular_roots(ring, pole[bright], size[bright].astype(float),
+                                             g * g, float(gap_energy(params, K)))
+    return _BlockModes(coupling=g, group=ring.group, pole=pole, bright=bright,
                        energy=energy, weight=weight, inverse=inverse)
 
 
-def _secular_roots(P: np.ndarray, M: np.ndarray, g2: float, a: float, work: np.ndarray):
+def _secular_roots(ring: _Ring, P: np.ndarray, M: np.ndarray, g2: float, a: float):
     """Eigenvalues E_n, emitter weights w_n and 1 / (E_n - P) of the arrowhead
     matrix with emitter level a and poles P of multiplicity M.
 
     The n-th root of h(E) = g2 sum_j M_j / (E - P_j) - (E - a) lies in the
     n-th interval of the sorted poles, the first below and the last above
-    them (inside the Weyl bounds).  Each root is held as E = P_o + tau about
-    its nearer pole P_o, so that E - P_j = (P_o - P_j) + tau and
-    E - a = (P_o - a) + tau keep tau's relative accuracy however close E
-    comes to a pole.  Each step solves a rational model of h (see
-    _model_step), safeguarded by bisection, and a root stops once h is zero
-    to its rounding or a step no longer moves tau in its last bits.  The
-    roots are independent, and are solved in chunks that keep the (root,
-    pole) work arrays at _CHUNK elements.
+    them; the sum costs O(1) (_ring_sum_in_band, _ring_sum_below).  A root in
+    the upper half is solved in the mirror (E, a, P) -> (-E, -a, -P), which
+    has the same poles.  The interval's midpoint picks the root's origin pole;
+    the root is held as x = L (alpha - alpha_o) / 2 about it (below the band
+    as -kappa), so that E - P_j = (P_o - P_j) + tau with
+    tau = 4b sin(alpha_o + delta/2) sin(delta/2) keeps its relative accuracy.
+    Weights are 1 / (-dh/dE), for the outer two from their inverse rows.
     """
     nb = P.size
-    span = math.sqrt(g2 * M.sum())
-    lo_edge = np.concatenate(([min(P.min(initial=a), a) - span], P))
-    hi_edge = np.concatenate((P, [max(P.max(initial=a), a) + span]))
-    Pa = np.append(P, a)  # a is the origin of the only root when there is no pole
-    Mpad = np.concatenate(([0.0], M, [0.0]))
-    energy = np.empty(nb + 1)
-    weight = np.empty(nb + 1)
-    chunk = max(1, _CHUNK // (nb + 2))
-    # With one chunk the result takes the place of the last work array, still
-    # in cache; with several it needs its own.
-    inverse = (work[2 * (nb + 1) * (nb + 2):][:(nb + 1) * nb] if chunk > nb
-               else np.empty((nb + 1) * nb)).reshape(nb + 1, nb)
-    for start in range(0, nb + 1, chunk):
-        n = np.arange(start, min(start + chunk, nb + 1))
-        # (root, pole) arrays with an empty column on each side, so that row n
-        # splits into nonempty sums over the poles left (j < n) and right of it.
-        diff, d, x = work[:3 * n.size * (nb + 2)].reshape(3, n.size, nb + 2)
-        diff[:, [0, -1]] = np.inf
+    if nb < 2:  # no bright pole, or a band narrower than rounding
+        if nb == 0:
+            return np.array([a]), np.ones(1), np.empty((1, 0))
+        d, s2 = P[0] - a, g2 * M[0]
+        t1 = -0.5 * (d + math.copysign(math.hypot(d, 2 * math.sqrt(s2)), d))
+        tau = np.sort([t1, -s2 / t1])
+        return P[0] + tau, tau * tau / (tau * tau + s2), 1 / tau[:, None]
+    b, ell, ell_c, _, X, w, gap, rank = ring
+    L = int(M.sum())
+    Om2, edge = g2 * L, 4 * b * math.sin(ell / (2 * L)) ** 2  # edge: pole 0 above the edge
+    n = np.arange(nb + 1)
+    mirror = np.concatenate(([False], X[:-1] + X[1:] > 0.5 * math.pi * L, [True]))
+    m, nf = np.where(mirror, -1.0, 1.0), np.where(mirror, nb - n, n)  # nf: interval in frame
+    inner = nf > 0
+    # An outer root is in the band iff h > 0 at the edge; below it, it is held
+    # as t = -kappa, E = -2b cosh kappa, down to min(a, -2b) - 2 Omega, past
+    # the Weyl bound min(a, P) - Omega.
+    sin2 = math.sin(0.5 * ell) ** 2
+    h_edge = 2 * b + m * a - (Om2 * L / (4 * b * sin2) if sin2 else math.inf)
+    band = inner | (h_edge > 0)
+    kappa = np.arccosh((np.maximum(-m * a, 2 * b) + 2 * math.sqrt(Om2)) / (2 * b))
+    k = nf - inner  # the origin pole in the frame: the lower one first
+    t = np.where(band, np.where(inner, 0.5, -0.5) * gap[nf], -0.5 * kappa)
+    # The closed form's poles, shifted onto the given pole nearest a: offsets
+    # D from it by exact angles, so that the roots share one matrix.
+    ref = np.argmin(np.abs(P - a))
+    dX = (rank // 2 - rank[ref] // 2) * ell + ((rank + 1) // 2 - (rank[ref] + 1) // 2) * ell_c
+    D = 4 * b * np.sin((X + X[ref]) / L) * np.sin(dX / L)
+    c_ref, P = P[ref] - a, P[ref] + D
 
-        def evaluate(rows, origin, tau):
-            k = rows.size
-            if k == n.size:
-                np.add(diff, tau[:, None], out=d)
-            else:
-                np.take(diff, rows, axis=0, out=d[:k])
-                d[:k] += tau[:, None]
-            cuts = ((np.arange(k) * (nb + 2))[:, None]
-                    + np.stack([0 * rows, n[rows] + 1], axis=1)).ravel()
-            np.divide(Mpad, d[:k], out=x[:k])  # M_j / (E - P_j)
-            left1, right1 = g2 * np.add.reduceat(x[:k].ravel(), cuts).reshape(k, 2).T
-            np.divide(x[:k], d[:k], out=x[:k])  # M_j / (E - P_j)^2
-            left2, right2 = g2 * np.add.reduceat(x[:k].ravel(), cuts).reshape(k, 2).T
-            h = left1 + right1 - ((origin - a) + tau)
-            bound = 8 * _EPS * (left1 - right1 + abs(origin - a) + abs(tau))
-            return h, bound, left2, right2
+    def origin(k):  # the origin's index, X, w and m (P - a) per root
+        o = np.where(mirror, nb - 1 - k, k)
+        return o, X[k], w[k], m * (c_ref + D[o])
 
-        # The first evaluation, at the interval midpoints, picks each root's
-        # half and so its origin; the first step models h by the exact terms
-        # of the two poles next to it.
-        lo, hi = lo_edge[n], hi_edge[n]
-        mid = lo + 0.5 * (hi - lo)
-        diff[:, 1:-1] = mid[:, None] - P
-        rows = np.arange(n.size)
-        h, bound, dleft, dright = evaluate(rows, mid, np.zeros(n.size))
-        o = np.clip(np.where(h > 0, n, n - 1), 0, max(nb - 1, 0))
-        origin = Pa[o]
-        diff[:, 1:-1] = origin[:, None] - P
-        tau = mid - origin
-        at_lo = o == n - 1
-        with np.errstate(all="ignore"):
-            near = g2 * Mpad[o + 1] / (tau * tau)
-            far = g2 * np.where(at_lo, Mpad[n + 1] / (mid - hi) ** 2,
-                                Mpad[n] / (mid - lo) ** 2)
-        lo = np.where(h > 0, tau, lo - origin)
-        hi = np.where(h > 0, hi - origin, tau)
-        for _ in range(100):
-            t = tau[rows]
-            with np.errstate(all="ignore"):
-                step = _model_step(at_lo[rows], t, h, near, far)
-            done = (np.abs(h) <= bound) | (np.abs(step - t) <= 2 * _EPS * np.abs(t))
-            weight[n[rows[done]]] = 1.0 / (1.0 + dleft[done] + dright[done])
-            rows, step = rows[~done], step[~done]
-            if not rows.size:
-                break
-            lo_r, hi_r = lo[rows], hi[rows]
-            tau[rows] = t = np.where((step > lo_r) & (step < hi_r), step, 0.5 * (lo_r + hi_r))
-            h, bound, dleft, dright = evaluate(rows, origin[rows], t)
-            lo[rows] = np.where(h > 0, t, lo_r)
-            hi[rows] = np.where(h < 0, t, hi_r)
-            near = np.where(at_lo[rows], dleft, dright)
-            far = np.where(at_lo[rows], dright, dleft)
-        else:
-            raise NumericalFailure(f"secular equation: {rows.size} root(s) did not converge")
-        energy[n] = origin + tau
-        block = inverse[start:start + n.size]
-        np.add(diff[:, 1:-1], tau[:, None], out=block)
-        np.reciprocal(block, out=block)
-    return energy, weight, inverse
+    def evaluate(rows, t):  # h, its rounding bound, -dh/dt at the origin and in all, w
+        ib = band[rows]
+        out = np.empty((5, rows.size))
+        r, x = rows[ib], t[ib]
+        Xr, cb = X_o[r], c_o[r]
+        S, slope, near, scale, sa = _ring_sum_in_band(b, L, Xr, w_o[r], x)
+        tau = 4 * b * np.sin((2 * Xr + x) / L) * np.sin(x / L)
+        slope = Om2 * slope + 4 * b * sa / L
+        out[:, ib] = (Om2 * S - cb - tau, Om2 * scale + np.abs(cb) + np.abs(tau),
+                      Om2 * near, slope, 4 * b * sa / (L * slope))
+        if not ib.all():
+            x, cb = -t[~ib], c_o[rows[~ib]]
+            S, dS, s = _ring_sum_below(b, L, ell, x)
+            tau = -4 * b * np.sinh(0.5 * x) ** 2 - edge
+            out[:, ~ib] = (Om2 * S - cb - tau, Om2 * np.abs(S) + np.abs(cb) + np.abs(tau),
+                           Om2 / (2 * b * x * x), Om2 * dS - s, -s / (Om2 * dS - s))
+        out[1] *= 8 * _EPS
+        return out
+
+    o, X_o, w_o, c_o = origin(k)
+    first = evaluate(n, t)
+    h = first[0]
+    lo = np.where(h > 0, t, np.where(band, np.where(inner, 0.0, -gap[0]), -kappa))
+    hi = np.where(inner | (h < 0), t, 0.0)
+    # A root above its midpoint is held about the upper pole, whose rounding
+    # may flip the sign of h there; so its bracket reopens to the lower pole.
+    up = inner & (h > 0)
+    k[up] += 1
+    t[up] -= gap[nf[up]]
+    lo[up], hi[up] = -gap[nf[up]], 0.0
+    o, X_o, w_o, c_o = origin(k)
+    t, weight = _iterate(evaluate, t, lo, hi, np.sign(t), first)
+    tau = m * np.where(band, 4 * b * np.sin((2 * X_o + t) / L) * np.sin(t / L),
+                       -4 * b * np.sinh(0.5 * t) ** 2 - edge)
+    inverse = np.subtract.outer(D[o], D)
+    inverse += tau[:, None]
+    # The origin's neighbours from angles, as their rounded D may not resolve them.
+    for j in (-1, 1):
+        r = np.flatnonzero((k + j >= 0) & (k + j < nb))
+        dx = t[r] + (gap[k[r]] if j < 0 else -gap[k[r] + 1])  # from the neighbour
+        inverse[r, o[r] + m[r].astype(int) * j] = m[r] * np.where(
+            band[r], 4 * b * np.sin((2 * (X_o[r] + t[r]) - dx) / L) * np.sin(dx / L),
+            -4 * b * (np.sinh(0.5 * t[r]) ** 2 + np.sin(X[k[r] + j] / L) ** 2))
+    np.reciprocal(inverse, out=inverse)
+    outer = inverse[[0, -1]]
+    weight[[0, -1]] = 1 / (1 + g2 * (outer * outer @ M))
+    return P[o] + tau, weight, inverse
 
 
-def _model_step(at_lo, tau, h, near, far):
-    """Next tau: the root on the origin's side of the model
+def _iterate(evaluate, t, lo, hi, side, first):
+    """Roots t in (lo, hi) of functions h that fall through their brackets,
+    with a pole at t = 0 on the bracket's end or beyond it, and the weights
+    of their last evaluation; the roots lie on the `side` (+-1) of 0, and
+    `first` is evaluate(all rows, t).
 
-        h(tau') = c + s / tau' - (1 + far) (tau' - tau),   s = near tau^2,
-
-    whose pole term stands for the poles on the origin's side (slope `near`
-    at tau) and whose linear term for the poles on the other side (slope
-    `far`) and for -(E - a).  It matches h and h' at tau.  Close to the
-    origin pole it is that pole; far from every pole it is Newton's step.
+    A step takes the root on that side of the model
+    h(t') = c + s / t' - k (t' - t), s = near t^2, which matches h and h' at t:
+    its pole term stands for the poles at 0 (slope `near`), its line for the
+    rest (slope k >= 0).  Next to the pole it is that pole; far from every
+    pole it is Newton's step.  A step out of the bracket bisects it instead,
+    and a root stops once h is zero to its rounding or no longer moves.
     """
-    k = 1.0 + far
-    s = near * tau * tau
-    q = h - near * tau + k * tau
-    r = np.sqrt(q * q + 4 * k * s)
-    up = np.where(q >= 0, 0.5 * (q + r) / k, 2 * s / (r - q))
-    down = np.where(q <= 0, 0.5 * (q - r) / k, -2 * s / (q + r))
-    return np.where(at_lo, up, down)
+    weight = np.empty(t.size)
+    rows = np.arange(t.size)
+    h, bound, near, slope, w = first
+    for _ in range(100):
+        x = t[rows]
+        with np.errstate(all="ignore"):
+            near = np.minimum(near, slope)  # the model must keep h' at x
+            k, s = slope - near, near * x * x
+            q = side[rows] * (h - near * x + k * x)
+            r = np.sqrt(q * q + 4 * k * s)
+            step = side[rows] * np.where(q >= 0, 0.5 * (q + r) / k, 2 * s / (r - q))
+        done = ((np.abs(h) <= bound) | (np.abs(step - x) <= 2 * _EPS * np.abs(x))
+                | (hi[rows] - lo[rows] <= 2 * _EPS * np.abs(x)))
+        weight[rows[done]] = w[done]
+        rows, step = rows[~done], step[~done]
+        if not rows.size:
+            return t, weight
+        lo_r, hi_r = lo[rows], hi[rows]
+        t[rows] = x = np.where((step > lo_r) & (step < hi_r), step, 0.5 * (lo_r + hi_r))
+        h, bound, near, slope, w = evaluate(rows, x)
+        lo[rows] = np.where(h > 0, x, lo_r)
+        hi[rows] = np.where(h < 0, x, hi_r)
+    raise NumericalFailure(f"secular equation: {rows.size} root(s) did not converge")
 
 
 def _evolve_modes(modes: _BlockModes, times: np.ndarray, snapshots: np.ndarray
@@ -310,6 +393,9 @@ def _checked_times(times) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or times.size == 0:
         raise ParameterError("times must be a non-empty 1-D array")
+    if not np.all(np.isfinite(times)):
+        t = float(times[~np.isfinite(times)][0])
+        raise ParameterError(f"t = {t!r} is not a finite time")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ParameterError("times must be sorted and nonnegative")
     return times
@@ -319,7 +405,7 @@ def evolve_fixed_K(params: ModelParams, K: float, times) -> KBlockTrajectory:
     """Evolve one K block exactly from the excited emitter |K> with no photon."""
     times = _checked_times(times)
     _check_block_budget(params.L, 1, times.size, times.size)
-    modes = _block_modes(params, K, _work_array(params.L))
+    modes = _block_modes(params, K)
     psi_e, phi = _evolve_modes(modes, times, times)
     return KBlockTrajectory(K=float(K), times=times, psi_e=psi_e, phi=phi)
 
@@ -566,11 +652,10 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
     # keep their own order, written last); at J' = 0 every block is one matrix.
     serves = ({0: [(m, n) for m in n]} if params.Jp == 0 else
               {m: [(flip[m], flip), (m, n)] for m in range(L // 2 + 1)})
-    work = _work_array(L)
     psi_e = np.empty((times.size, L), dtype=complex)
     phi = np.empty((snapshots.size, L, L), dtype=complex)
     for source, columns in serves.items():
-        psi, ph = _evolve_modes(_block_modes(params, kgrid[source], work), times, snapshots)
+        psi, ph = _evolve_modes(_block_modes(params, kgrid[source]), times, snapshots)
         for m, order in columns:
             psi_e[:, m], phi[:, m, :] = psi, ph[:, order]
     return LocalizedRun(params=params, x0=int(x0), times=times, c=c,

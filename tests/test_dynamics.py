@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wqed_mobile import (
     BandEdgeSingularity,
@@ -31,7 +31,6 @@ from wqed_mobile import (
 from wqed_mobile import dynamics
 from wqed_mobile.dynamics import (
     _block_modes,
-    _work_array,
     block_hamiltonian,
     critical_jp_lower,
     critical_jp_upper,
@@ -88,6 +87,20 @@ def test_times_validation_and_size_budget():
     # A fixed-K run at L = 7000 needs ~0.4 GiB and fits the budget (checked
     # without allocating it).
     dynamics._check_block_budget(7000, 1, 2, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_rejected(bad):
+    params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=16)
+    with pytest.raises(ParameterError, match=f"t = {bad!r}"):
+        evolve_fixed_K(params, 0.7, [0.0, bad, 2.0])
+    with pytest.raises(ParameterError, match=f"t = {bad!r}"):
+        evolve_localized(params, 0, [0.0, bad])
+    traj = evolve_fixed_K(params, 0.7, [0.0, 2.0])
+    with pytest.raises(ParameterError, match=f"t = {bad!r} is not one of the sampled"):
+        photon_spectrum_and_directionality(traj, bad)
+    with pytest.raises(ParameterError, match=f"t = {bad!r} is not one of the sampled"):
+        evolve_localized(params, 0, [0.0, 2.0], snapshots=[bad])
 
 
 def test_asymptotic_momenta_k0():
@@ -458,9 +471,9 @@ def test_localized_solves_each_mirrored_block_once(monkeypatch, jp, solves):
     # at J' = 0 all blocks are the same matrix and take one.
     calls = []
 
-    def counted(params, K, work):
+    def counted(params, K):
         calls.append(K)
-        return _block_modes(params, K, work)
+        return _block_modes(params, K)
 
     monkeypatch.setattr(dynamics, "_block_modes", counted)
     evolve_localized(ModelParams(J=1.0, Jp=jp, Delta=0.5, Omega=0.4, L=40), 0, [0.0, 5.0])
@@ -511,11 +524,18 @@ def _blocks(draw):
 @given(block=_blocks())
 # The emitter level on a pole pair, where unrefined eigh weights err by 2e-10.
 @example(block=(ModelParams(J=1.0, Jp=0.0, Delta=0.0, Omega=math.exp(-13.0), L=52), 0.0))
+# Pole families that nearly coincide, closer than their rounded energies
+# resolve: K next to 0, and J' next to J (with the emitter on a pair, and
+# with the whole band 3e-12 wide).
+@example(block=(ModelParams(J=1.0, Jp=0.0146, Delta=-0.645, Omega=1e-6, L=42), 1e-12))
+@example(block=(ModelParams(J=1.0, Jp=1 - 1e-12, Delta=2.0, Omega=1e-9, L=20), -math.pi / 2))
+@example(block=(ModelParams(J=1.0, Jp=1 - 1e-12, Delta=-2.0, Omega=1e-9, L=22),
+                math.pi - 1e-12))
 def test_arrowhead_engine_matches_dense_property(block):
     params, K = block
     L = params.L
     # Spectrum: the secular roots plus the dark states at each pole group.
-    modes = _block_modes(params, K, _work_array(L))
+    modes = _block_modes(params, K)
     n_dark = np.bincount(modes.group) - modes.bright
     energies = np.concatenate((modes.energy, np.repeat(modes.pole, n_dark)))
     weights = np.concatenate((modes.weight, np.zeros(n_dark.sum())))
@@ -589,3 +609,75 @@ def test_localized_snapshots_keep_phi_only_where_asked():
         position_observables(some, 4.0)
     with pytest.raises(ParameterError, match="t = 4.5 is not one of the sampled times"):
         evolve_localized(params, 2, times, snapshots=[4.5])
+
+
+@pytest.mark.parametrize("jp", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("omega", [0.2, 0.4, 1.0])
+@pytest.mark.parametrize("delta", [-3.0, 0.0, 3.0])
+def test_outer_roots_are_the_bound_states(jp, omega, delta):
+    # Wherever a bound state decays within a few sites, the ring of L = 400
+    # cannot shift it, so the engine's lowest and highest roots are the
+    # bound-state solver's energies.
+    params = ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=omega, L=400)
+    for K in (0.0, math.pi / 3, 2 * math.pi / 3, math.pi):
+        energy = _block_modes(params, K).energy
+        for branch, root in ((-1, energy[0]), (+1, energy[-1])):
+            state = solve_bound_state(params, K, branch)
+            if state.loc_length < 10:
+                assert abs(root - state.energy) <= 1e-13 * abs(state.energy)
+
+
+def _ring_lattice(ring):
+    """Each distinct pole of the ring as X = pi j + s ell / 2 in long double,
+    with its multiplicity among the grid momenta."""
+    n = np.arange(ring.X.size)
+    if 0 < ring.ell < math.pi:
+        j, s, M = (n + 1) // 2, np.where(n % 2 == 0, 1, -1), np.ones(n.size)
+    else:
+        j, s, M = n, np.full(n.size, ring.ell > 0), np.full(n.size, 2.0)
+        if ring.ell == 0:
+            M[[0, -1]] = 1  # the band edges
+    return (np.arccos(np.longdouble(-1)) * j, s * np.longdouble(ring.ell) / 2, M)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(L=st.integers(2, 32).map(lambda n: 2 * n),
+       jp=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 2.0)),
+       K=st.one_of(st.sampled_from((0.0, math.pi)), st.floats(-math.pi, math.pi)),
+       where=st.sampled_from(("band", "edge", "pole", "below", "below-edge")),
+       u=st.floats(0.01, 0.99))
+def test_ring_sum_matches_a_long_double_direct_sum(L, jp, K, where, u):
+    # The engine's closed forms against the direct sum over the same poles,
+    # in long double: in the lower half of the band (the upper half is its
+    # mirror), 1e-6 of the band from its edge (inside and out), 1e-3 of an
+    # interval from a pole, and below the band.  Each E - P is formed from
+    # angle differences, so the sum is exact to ~1e-18 even next to a pole;
+    # the error is relative to the sum of the magnitudes, since S crosses
+    # zero between the poles.
+    ring = dynamics._ring(ModelParams(J=1.0, Jp=jp, Delta=0.0, Omega=0.0, L=L), K,
+                          32 * np.finfo(float).eps * (1.0 + jp))
+    assume(ring.X is not None)
+    b = np.longdouble(ring.b)
+    j, s, M = _ring_lattice(ring)
+    X = j + s
+    if where.startswith("below"):
+        kappa = 3.0 * u if where == "below" else 2 * math.asinh(math.sqrt(1e-6 / 2))
+        S = dynamics._ring_sum_below(ring.b, L, ring.ell, np.array([kappa]))[0][0]
+        d = -4 * b * (np.sinh(np.longdouble(kappa) / 2) ** 2 + np.sin(X / L) ** 2)
+    else:
+        lower = np.flatnonzero(ring.X <= L * math.pi / 4)
+        if where == "pole":
+            k = lower[int(u * lower.size)]
+            delta = 1e-3 * (ring.gap[k + 1] if u < 0.5 else -ring.gap[k])
+        else:
+            beta = (np.longdouble(u) * L * math.pi / 4 if where == "band"
+                    else L * np.arcsin(np.sqrt(np.longdouble(1e-6) / 2)))
+            k = lower[np.argmin(np.abs(X[lower] - beta))]
+            delta = beta - X[k]
+        S = dynamics._ring_sum_in_band(ring.b, L, ring.X[[k]], ring.w[[k]],
+                                       np.array([float(delta)]))[0][0]
+        # E - P = 4b sin((beta + X) / L) sin((beta - X) / L), beta = X_k + delta
+        d = 4 * b * (np.sin((j[k] + j + s[k] + s + delta) / L)
+                     * np.sin((j[k] - j + s[k] - s + delta) / L))
+    ref, scale = np.sum(M / d) / L, np.sum(M / np.abs(d)) / L
+    assert abs(S - ref) <= 1e-10 * scale
