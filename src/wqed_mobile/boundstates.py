@@ -153,7 +153,7 @@ def solve_bound_state(params: ModelParams, K: float, branch: int) -> BoundState:
         f_val = _f_of_delta(delta, side, b, e_gap, om2)
         if abs(f_val) < ROOT_TOL * max(1.0, abs(energy)):
             break
-        step = side * f_val / _df_dE(delta, b, om2)
+        step = side * f_val * delta / dg_ds(delta)
         if delta - step <= 0.0:
             step = delta * 0.5
         delta -= step
@@ -169,6 +169,71 @@ def solve_bound_state(params: ModelParams, K: float, branch: int) -> BoundState:
     # -log|y_<| = log((|E| + sq) / b), free of cancellation at the edge.
     return BoundState(branch=branch, K=float(K), energy=energy, u=u, y_in=y_in,
                       loc_length=1.0 / math.log1p((d + sq) / b), edge_offset=delta)
+
+
+def _bound_energies(params: ModelParams, K: np.ndarray, side: int) -> np.ndarray:
+    """solve_bound_state(params, k, side).energy for every k of K at once.
+
+    The same bracket on s = log delta and the same Newton polish in delta,
+    with a bisection-safeguarded Newton iteration on s in place of Brent's
+    method; the energies agree with the scalar solver to the tolerance of
+    its Brent step.
+    """
+    # About 32 float arrays over K are alive at once.
+    check_memory(K.size * 32 * 8, f"the bound-state solve on {K.size} K points", "reduce nK")
+    b = band_halfwidth(params, K)
+    e_gap = gap_energy(params, K)
+    om2 = params.Omega**2
+    if om2 == 0.0 and np.any(side * e_gap <= b):
+        raise NoBoundState(
+            "Omega = 0 and the decoupled level is not out of band on "
+            f"branch {side:+d} at every K")
+
+    def f(d):  # _f_of_delta over arrays
+        return side * (b + d) - e_gap - side * om2 / np.sqrt(d * (d + 2.0 * b))
+
+    def g(s):
+        return side * f(np.exp(s))
+
+    def dg_ds(d):  # delta F'(E), in a form that does not underflow at tiny delta
+        return d + om2 * (b + d) / (np.sqrt(d) * (d + 2.0 * b) ** 1.5)
+
+    lo = np.log(1e-8 * np.maximum(1.0, b))
+    while np.any(shrink := g(lo) >= 0.0):
+        lo[shrink] -= math.log(256.0)
+        if lo.min() < math.log(1e-280):
+            raise NumericalFailure("could not bracket the bound-state root from below")
+    hi = np.full(K.shape, math.log(max(params.Omega, 1e-3)))
+    while np.any(grow := g(hi) <= 0.0):
+        hi[grow] += math.log(2.0)
+        if hi.max() > math.log(1e12):
+            raise NumericalFailure("could not bracket the bound-state root from above")
+
+    s = 0.5 * (lo + hi)
+    for _ in range(200):
+        gs = g(s)
+        lo, hi = np.where(gs < 0.0, s, lo), np.where(gs > 0.0, s, hi)
+        step = s - gs / dg_ds(np.exp(s))
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        moving = (gs != 0.0) & (np.abs(step - s) > 1e-14 + 8.9e-16 * np.abs(s))
+        s = np.where(gs != 0.0, step, s)
+        if not moving.any():
+            break
+    else:
+        raise NumericalFailure("bound-state root search did not converge")
+
+    delta = np.exp(s)
+    energy = side * (b + delta)
+    for _ in range(8):
+        f_val = f(delta)
+        open_ = np.abs(f_val) >= ROOT_TOL * np.maximum(1.0, np.abs(energy))
+        if not open_.any():
+            return energy
+        step = side * f_val * delta / dg_ds(delta)
+        step = np.where(delta - step <= 0.0, 0.5 * delta, step)
+        delta = np.where(open_, delta - step, delta)
+        energy = side * (b + delta)
+    raise NumericalFailure(f"bound-state residual did not reach tolerance on branch {side:+d}")
 
 
 def pole_residual(params: ModelParams, bound: BoundState) -> float:
@@ -268,8 +333,8 @@ def band_scan(params: ModelParams, n_K: int) -> BandScan:
     if n_K < 8:
         raise ParameterError(f"n_K must be >= 8 (got {n_K})")
     K = momentum_grid(n_K)
-    e_minus = np.array([solve_bound_state(params, k, -1).energy for k in K])
-    e_plus = np.array([solve_bound_state(params, k, +1).energy for k in K])
+    e_minus = _bound_energies(params, K, -1)
+    e_plus = _bound_energies(params, K, +1)
     b = band_halfwidth(params, K)
     return BandScan(K=K, e_minus=e_minus, e_plus=e_plus,
                     band_min=-b, band_max=b, flatness=flatness_report(params))

@@ -70,6 +70,11 @@ def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
 # Chebyshev propagation over a batch of K blocks
 
 
+#: Bytes of one (blocks, L) complex array of the Chebyshev recursion; its
+#: five arrays of that size (1.25 MiB) then fit in a 2 MiB L2 cache.
+_CACHE_BYTES = 1 << 18
+
+
 def _apply_blocks(diag, e_gap, w, phi, psi_e):
     """One Hamiltonian application on stacked block states."""
     return (diag * phi + w * psi_e[:, None],
@@ -86,7 +91,9 @@ def chebyshev_evolve_blocks(diag: np.ndarray, e_gap: np.ndarray, coupling: float
     max diag + |Omega|] with |Omega| = coupling * sqrt(L), which fixes the
     Chebyshev scaling.  Terms are summed until the Bessel coefficients fall
     below 1e-16, so the result carries no time-step error (at t = 0 one
-    term with coefficient 1 remains).
+    term with coefficient 1 remains).  The blocks are independent, so they
+    are summed a few at a time, sized so that the recursion's arrays stay
+    in cache; the result does not depend on the grouping.
     """
     from scipy.special import jv  # scipy is needed only by this oracle
 
@@ -104,26 +111,41 @@ def chebyshev_evolve_blocks(diag: np.ndarray, e_gap: np.ndarray, coupling: float
     keep = np.flatnonzero(np.abs(bessel) > 1e-16)
     n_terms = int(keep[-1]) + 1 if keep.size else 1
 
-    sdiag = (diag - a) / b
-    sgap = (e_gap - a) / b
-    sw = coupling / b
-
     phase = np.exp(-1j * a * t)
     i_pow = np.array([1.0, -1j, -1.0, 1j])[orders[:n_terms] % 4]
     coef = phase * (2.0 - (orders[:n_terms] == 0)) * i_pow * bessel[:n_terms]
 
+    phi = np.empty((n_blocks, L), dtype=complex)
+    psi = np.empty(n_blocks, dtype=complex)
+    rows = max(1, _CACHE_BYTES // (16 * L))
+    for s in range(0, n_blocks, rows):
+        r = slice(s, s + rows)
+        phi[r], psi[r] = _chebyshev_sum(coef, (diag[r] - a) / b, (e_gap[r] - a) / b,
+                                        coupling / b, phi0[r], psi_e0[r])
+    return phi, psi
+
+
+def _chebyshev_sum(coef, sdiag, sgap, sw, phi0, psi_e0):
+    """sum_n coef_n T_n(H) (phi0, psi_e0) for the scaled blocks H."""
+    n_terms = coef.size
     pm1, em1 = phi0.astype(complex), psi_e0.astype(complex)
     p0_, e0_ = _apply_blocks(sdiag, sgap, sw, pm1, em1)
     phi = coef[0] * pm1 + (coef[1] * p0_ if n_terms > 1 else 0.0)
     psi = coef[0] * em1 + (coef[1] * e0_ if n_terms > 1 else 0.0)
+    # T_{n+1} = 2 H T_n - T_{n-1} in three buffers; doubling is exact, so
+    # 2 diag and 2 coupling give the same bits as doubling H T_n.
+    d2 = np.repeat(2.0 * sdiag, 2, axis=-1)  # one factor per real and imaginary part
+    p1 = np.empty_like(pm1)
     for n in range(2, n_terms):
-        hp, he = _apply_blocks(sdiag, sgap, sw, p0_, e0_)
-        p1 = 2.0 * hp - pm1
-        e1 = 2.0 * he - em1
-        phi += coef[n] * p1
+        np.multiply(d2, p0_.view(float), out=p1.view(float))
+        p1 += (2.0 * sw * e0_)[:, None]
+        p1 -= pm1
+        e1 = 2.0 * (sgap * e0_ + sw * p0_.sum(axis=1)) - em1
+        np.multiply(coef[n], p1, out=pm1)  # T_{n-1} is spent; its buffer takes the term
+        phi += pm1
         psi += coef[n] * e1
-        pm1, em1 = p0_, e0_
-        p0_, e0_ = p1, e1
+        pm1, p0_, p1 = p0_, p1, pm1
+        em1, e0_ = e0_, e1
     return phi, psi
 
 

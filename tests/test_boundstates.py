@@ -294,6 +294,35 @@ def test_weight_matches_dense_eigenvector_weight():
         assert abs(u2_plus - spec.weights[-1]) < 1e-3
 
 
+@pytest.mark.parametrize("jp, omega, delta", [
+    (0.1, 0.2, 0.0), (0.5, 0.5, 3.0), (1.0, 1.0, 0.0), (2.0, 3.0, 1.0),
+    (0.5, 1e-6, 0.0), (1.0, 1e-7, 0.0), (0.3, 1e-3, -2.0)])
+def test_band_scan_matches_the_scalar_solver(jp, omega, delta):
+    # band_scan solves all K at once; each energy must be the scalar root to
+    # within its Brent tolerance, also where weak coupling pins it to the
+    # band edge and where J' = J closes the band at K = pi.
+    params = ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=omega, L=64)
+    scan = band_scan(params, 401)
+    for branch, got in ((-1, scan.e_minus), (+1, scan.e_plus)):
+        want = np.array([solve_bound_state(params, k, branch).energy for k in scan.K])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_band_scan_without_coupling():
+    # Omega = 0: the decoupled level where it is out of band on every K,
+    # NoBoundState where it is not, as for the scalar solver.
+    params = ModelParams(J=1.0, Jp=0.5, Delta=5.0, Omega=0.0, L=64)
+    with pytest.raises(NoBoundState):
+        band_scan(params, 64)
+    with pytest.raises(NoBoundState):
+        band_scan(ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.0, L=64), 64)
+    from wqed_mobile.boundstates import _bound_energies
+    K = momentum_grid(64)
+    np.testing.assert_allclose(_bound_energies(params, K, +1),
+                               [solve_bound_state(params, k, +1).energy for k in K],
+                               rtol=1e-13, atol=0)
+
+
 def test_band_scan_requires_enough_points():
     with pytest.raises(ParameterError):
         band_scan(GENERIC, 4)

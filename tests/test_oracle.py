@@ -80,6 +80,26 @@ def test_chebyshev_matches_dense_evolution():
         assert np.abs(phi_t[0] - traj.phi[0]).max() < 1e-10
 
 
+def test_chebyshev_blocks_are_independent_of_their_grouping(monkeypatch):
+    # The blocks are summed a few at a time; one group of all of them must
+    # give the same bits.
+    from wqed_mobile import oracle
+
+    L = 1024
+    params = ModelParams(J=1.0, Jp=0.3, Delta=0.5, Omega=0.7, L=L)
+    K = momentum_grid(L)[::50]
+    diag = omega_tilde(params, K[:, None], momentum_grid(L)[None, :])
+    rng = np.random.default_rng(3)
+    phi0 = rng.normal(size=(K.size, L)) + 1j * rng.normal(size=(K.size, L))
+    args = (diag, gap_energy(params, K), params.Omega / math.sqrt(L), phi0,
+            rng.normal(size=K.size) + 0j, 20.0)
+    assert oracle._CACHE_BYTES // (16 * L) < K.size  # the batch is split
+    phi, psi = chebyshev_evolve_blocks(*args)
+    monkeypatch.setattr(oracle, "_CACHE_BYTES", 16 * L * K.size)
+    one_phi, one_psi = chebyshev_evolve_blocks(*args)
+    assert np.array_equal(one_phi, phi) and np.array_equal(one_psi, psi)
+
+
 def test_wavepacket_static_full_reflection():
     # Full reflection needs the packet well inside the resonance linewidth:
     # sigma_p << Gamma / (2 v_ph) = Omega^2 / (4 J).
