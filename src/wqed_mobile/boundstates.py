@@ -18,9 +18,10 @@ so |f(x)| is even in x while the phase winds by -Arg z(K) per site on the
 positive side and +Arg z(K) on the negative side (odd in x; it vanishes for
 a static emitter and in the K = 0, pi subspaces).
 
-Root finding is performed in the band-edge offset delta = |E| - 2|z(K)| on a
-logarithmic scale, which keeps full precision even when weak coupling pins
-the root exponentially close to the band edge.
+One array solver finds the roots for one K, a K grid and the flatness fit:
+Brent's method, element by element, in the band-edge offset delta = |E| -
+2|z(K)| on a logarithmic scale, which keeps full precision even when weak
+coupling pins the root exponentially close to the band edge.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .model import (
     z_of_K,
 )
 
-#: Acceptable residual |F(E)| relative to max(1, |E|) after polishing.
+#: Acceptable residual |F(E)| relative to max(1, |E|, |E_{K,Delta}|) after polishing.
 ROOT_TOL = 1e-12
 
 
@@ -80,19 +81,20 @@ def pole_function(params: ModelParams, K: float, E: float) -> float:
         raise ParameterError(
             f"F(E) is only defined outside the band (|E| = {abs(E)!r} < 2|z| = {b!r})"
         )
-    return _f_of_delta(abs(E) - b, 1 if E > 0 else -1, b,
-                       float(gap_energy(params, K)), params.Omega**2)
+    return float(_f_of_delta(abs(E) - b, 1 if E > 0 else -1, b,
+                             float(gap_energy(params, K)), params.Omega**2))
 
 
-def _f_of_delta(delta: float, side: int, b: float, e_gap: float, om2: float) -> float:
-    """F evaluated at E = side * (b + delta) without band-edge cancellation."""
-    sigma = side * om2 / math.sqrt(delta * (delta + 2.0 * b))
+def _f_of_delta(delta, side: int, b, e_gap, om2: float):
+    """F at E = side * (b + delta) without band-edge cancellation, on floats or arrays."""
+    sigma = side * om2 / np.sqrt(delta * (delta + 2.0 * b))
     return side * (b + delta) - e_gap - sigma
 
 
-def _df_dE(delta: float, b: float, om2: float) -> float:
-    """F'(E) = 1 - dSigma/dE, valid on both sides of the band."""
-    return 1.0 + om2 * (b + delta) / (delta * (delta + 2.0 * b)) ** 1.5
+def _slope(delta, b, om2: float):
+    """delta F'(E) with F' = 1 - dSigma/dE >= 1 on both sides of the band, in a form
+    that does not underflow at tiny delta."""
+    return delta + om2 * (b + delta) / (np.sqrt(delta) * (delta + 2.0 * b) ** 1.5)
 
 
 def _resolved_offset(b: float, energy: float, delta: float) -> tuple[float, float]:
@@ -106,134 +108,129 @@ def _resolved_offset(b: float, energy: float, delta: float) -> tuple[float, floa
 def solve_bound_state(params: ModelParams, K: float, branch: int) -> BoundState:
     """Locate the bound state of the requested branch (+1 above, -1 below).
 
-    Bracketed monotone root finding on log(delta) with delta = |E| - 2|z(K)|,
-    refined by Newton steps using the analytic F'; the final residual
-    satisfies |F(E)| < 1e-12 * max(1, |E|).
+    The root is the one `_bound_offsets` finds at this K: Brent's method on
+    log(delta) with delta = |E| - 2|z(K)|, then Newton steps in delta until
+    |F(E)| < 1e-12 * max(1, |E|, |E_{K,Delta}|).
 
     With Omega = 0 the root is the decoupled level E_{K,Delta} if it lies
     out of band on the requested side, otherwise NoBoundState is raised.
     """
     if branch not in (+1, -1):
         raise ParameterError(f"branch must be +1 or -1 (got {branch!r})")
-    side = branch
+    delta = float(_bound_offsets(params, np.array([float(K)]), branch)[0])
     b = float(band_halfwidth(params, K))
-    e_gap = float(gap_energy(params, K))
-    om2 = params.Omega**2
-
-    if om2 == 0.0 and side * e_gap <= b:
-        raise NoBoundState(
-            "Omega = 0 and the decoupled level is not out of band on "
-            f"branch {branch:+d} (E_gap = {e_gap!r}, 2|z| = {b!r})"
-        )
-    g = lambda s: side * _f_of_delta(math.exp(s), side, b, e_gap, om2)
-
-    # Inner bracket end: g -> -inf as delta -> 0; shrink until negative.
-    d_lo = 1e-8 * max(1.0, b)
-    while g(math.log(d_lo)) >= 0.0:
-        d_lo /= 256.0
-        if d_lo < 1e-280:
-            raise NumericalFailure("could not bracket the bound-state root from below")
-    # Outer bracket end: grow geometrically from the coupling scale.
-    d_hi = max(params.Omega, 1e-3)
-    while g(math.log(d_hi)) <= 0.0:
-        d_hi *= 2.0
-        if d_hi > 1e12:
-            raise NumericalFailure("could not bracket the bound-state root from above")
-
-    # Imported here so that `import wqed_mobile` does not load scipy.
-    from scipy.optimize import brentq
-
-    s_root = brentq(g, math.log(d_lo), math.log(d_hi), xtol=1e-14, rtol=8.9e-16,
-                    maxiter=200)
-    delta = math.exp(s_root)
-
-    # Newton polish in delta; dF/ddelta = side * F'(E) with F' >= 1.
-    energy = side * (b + delta)
-    for _ in range(8):
-        f_val = _f_of_delta(delta, side, b, e_gap, om2)
-        if abs(f_val) < ROOT_TOL * max(1.0, abs(energy)):
-            break
-        step = side * f_val * delta / dg_ds(delta)
-        if delta - step <= 0.0:
-            step = delta * 0.5
-        delta -= step
-        energy = side * (b + delta)
-    else:
-        raise NumericalFailure(
-            f"bound-state residual did not reach tolerance at K={K!r}, branch={branch:+d}"
-        )
-
-    u = 1.0 / math.sqrt(_df_dE(delta, b, om2))
+    energy = branch * (b + delta)
+    u = math.sqrt(delta / _slope(delta, b, params.Omega**2))
     d, sq = _resolved_offset(b, energy, delta)
-    y_in = -side * 2.0 * complex(z_of_K(params, K)).conjugate() / (abs(energy) + sq)
+    y_in = -branch * 2.0 * complex(z_of_K(params, K)).conjugate() / (abs(energy) + sq)
     # -log|y_<| = log((|E| + sq) / b), free of cancellation at the edge.
     return BoundState(branch=branch, K=float(K), energy=energy, u=u, y_in=y_in,
                       loc_length=1.0 / math.log1p((d + sq) / b), edge_offset=delta)
 
 
-def _bound_energies(params: ModelParams, K: np.ndarray, side: int) -> np.ndarray:
-    """solve_bound_state(params, k, side).energy for every k of K at once.
+# numpy's SIMD exp/log differ from libm's in the last bit (AVX-512: exp on 4.6 % of inputs).
+def _libm(fn, x):
+    """fn (math.exp or math.log) applied to the array x element by element."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
 
-    The same bracket on s = log delta and the same Newton polish in delta,
-    with a bisection-safeguarded Newton iteration on s in place of Brent's
-    method; the energies agree with the scalar solver to the tolerance of
-    its Brent step.
+
+def _bound_offsets(params: ModelParams, K: np.ndarray, side: int) -> np.ndarray:
+    """Band-edge offsets delta = |E| - 2|z(k)| of the branch-`side` bound state at
+    every k of the array K: each root bracketed in delta, found by `_brent` on
+    s = log delta, and polished by Newton steps in delta until |F| < ROOT_TOL *
+    max(1, |E|, |E_{K,Delta}|), since F's terms and their rounding reach |E_{K,Delta}|.
     """
     # About 32 float arrays over K are alive at once.
     check_memory(K.size * 32 * 8, f"the bound-state solve on {K.size} K points", "reduce nK")
     b = band_halfwidth(params, K)
     e_gap = gap_energy(params, K)
     om2 = params.Omega**2
-    if om2 == 0.0 and np.any(side * e_gap <= b):
+    if om2 == 0.0 and (inside := side * e_gap <= b).any():
+        k = inside.argmax()
         raise NoBoundState(
-            "Omega = 0 and the decoupled level is not out of band on "
-            f"branch {side:+d} at every K")
+            "Omega = 0 and the decoupled level is not out of band on branch "
+            f"{side:+d} at K = {float(K[k])!r} (E_gap = {float(e_gap[k])!r}, "
+            f"2|z| = {float(b[k])!r})")
 
-    def f(d):  # _f_of_delta over arrays
-        return side * (b + d) - e_gap - side * om2 / np.sqrt(d * (d + 2.0 * b))
+    def g(s, i):  # side * F at delta = e^s for the K points i, increasing in s
+        return side * _f_of_delta(_libm(math.exp, s), side, b[i], e_gap[i], om2)
 
-    def g(s):
-        return side * f(np.exp(s))
-
-    def dg_ds(d):  # delta F'(E), in a form that does not underflow at tiny delta
-        return d + om2 * (b + d) / (np.sqrt(d) * (d + 2.0 * b) ** 1.5)
-
-    lo = np.log(1e-8 * np.maximum(1.0, b))
-    while np.any(shrink := g(lo) >= 0.0):
-        lo[shrink] -= math.log(256.0)
-        if lo.min() < math.log(1e-280):
+    # Inner bracket end: g -> -inf as delta -> 0; shrink until negative.
+    every = np.arange(K.size)
+    d_lo = 1e-8 * np.maximum(1.0, b)
+    g_lo = g(_libm(math.log, d_lo), every)
+    while (i := np.flatnonzero(g_lo >= 0.0)).size:
+        d_lo[i] /= 256.0
+        if d_lo[i].min() < 1e-280:
             raise NumericalFailure("could not bracket the bound-state root from below")
-    hi = np.full(K.shape, math.log(max(params.Omega, 1e-3)))
-    while np.any(grow := g(hi) <= 0.0):
-        hi[grow] += math.log(2.0)
-        if hi.max() > math.log(1e12):
+        g_lo[i] = g(_libm(math.log, d_lo[i]), i)
+    # Outer bracket end: grow geometrically from the coupling scale.
+    d_hi = np.full(K.shape, max(params.Omega, 1e-3))
+    g_hi = g(_libm(math.log, d_hi), every)
+    while (i := np.flatnonzero(g_hi <= 0.0)).size:
+        d_hi[i] *= 2.0
+        if d_hi[i].max() > 1e12:
             raise NumericalFailure("could not bracket the bound-state root from above")
+        g_hi[i] = g(_libm(math.log, d_hi[i]), i)
 
-    s = 0.5 * (lo + hi)
-    for _ in range(200):
-        gs = g(s)
-        lo, hi = np.where(gs < 0.0, s, lo), np.where(gs > 0.0, s, hi)
-        step = s - gs / dg_ds(np.exp(s))
-        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-        moving = (gs != 0.0) & (np.abs(step - s) > 1e-14 + 8.9e-16 * np.abs(s))
-        s = np.where(gs != 0.0, step, s)
-        if not moving.any():
-            break
-    else:
-        raise NumericalFailure("bound-state root search did not converge")
-
-    delta = np.exp(s)
-    energy = side * (b + delta)
+    s = _brent(g, _libm(math.log, d_lo), _libm(math.log, d_hi), g_lo, g_hi)
+    delta = _libm(math.exp, s)
+    scale = np.maximum(1.0, np.abs(e_gap))
     for _ in range(8):
-        f_val = f(delta)
-        open_ = np.abs(f_val) >= ROOT_TOL * np.maximum(1.0, np.abs(energy))
+        f_val = _f_of_delta(delta, side, b, e_gap, om2)
+        open_ = ~(np.abs(f_val) < ROOT_TOL * np.maximum(scale, b + delta))
         if not open_.any():
-            return energy
-        step = side * f_val * delta / dg_ds(delta)
-        step = np.where(delta - step <= 0.0, 0.5 * delta, step)
-        delta = np.where(open_, delta - step, delta)
-        energy = side * (b + delta)
+            return delta
+        step = np.where(open_, side * f_val * delta / _slope(delta, b, om2), 0.0)
+        delta = np.where(delta - step <= 0.0, 0.5 * delta, delta - step)
     raise NumericalFailure(f"bound-state residual did not reach tolerance on branch {side:+d}")
+
+
+def _brent(f, xpre, xcur, fpre, fcur):
+    """Roots of f(x, i) = 0, f evaluated at x for the indices i, each bracketed by
+    xpre[i] and xcur[i] with f values fpre[i] < 0 < fcur[i].
+
+    Brent's method (Brent 1973, Algorithms for Minimization Without Derivatives,
+    ch. 4) with the steps of scipy's scalar Brent solver in the same order, element
+    by element: every root has its bits at xtol 1e-14, rtol 8.9e-16, maxiter 200.
+    """
+    root = np.empty_like(xcur)
+    i = np.arange(xcur.size)
+    xblk = fblk = spre = scur = np.zeros_like(xcur)
+    # Both trial steps are formed everywhere; each element keeps the one Brent takes.
+    with np.errstate(all="ignore"):
+        for _ in range(200):
+            # fpre != 0 here, and fcur = 0 ends the iteration whether or not it flips.
+            flip = np.signbit(fpre) != np.signbit(fcur)
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+            tol = (1e-14 + 8.9e-16 * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0.0) | (np.abs(sbis) < tol)
+            if done.any():
+                root[i[done]] = xcur[done]
+                if done.all():
+                    return root
+                i, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, tol, sbis = (
+                    a[~done] for a in (i, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                                       tol, sbis))
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            short = ((np.abs(spre) > tol) & (np.abs(fcur) < np.abs(fpre))
+                     & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - tol)))
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > tol, scur, np.where(sbis > 0, tol, -tol))
+            fcur = f(xcur, i)
+    raise NumericalFailure("bound-state root search did not converge")
 
 
 def pole_residual(params: ModelParams, bound: BoundState) -> float:
@@ -241,8 +238,8 @@ def pole_residual(params: ModelParams, bound: BoundState) -> float:
     parametrization so the measurement stays exact arbitrarily close to the
     edge (plain pole_function loses precision there to cancellation)."""
     b = float(band_halfwidth(params, bound.K))
-    return abs(_f_of_delta(bound.edge_offset, bound.branch, b,
-                           float(gap_energy(params, bound.K)), params.Omega**2))
+    return abs(float(_f_of_delta(bound.edge_offset, bound.branch, b,
+                                 float(gap_energy(params, bound.K)), params.Omega**2)))
 
 
 def bound_wavefunctions(params: ModelParams, bound: BoundState, x_max: int
@@ -320,10 +317,10 @@ def flatness_report(params: ModelParams, half_window: float = 0.5,
     (E^2 - 4|z(pi)|^2)^{3/2} = 2 J Omega^2 at the K = pi energy E.
     """
     u = np.linspace(-half_window, half_window, n_points)
-    e = np.array([solve_bound_state(params, math.pi + ui, +1).energy for ui in u])
-    e0 = solve_bound_state(params, math.pi, +1).energy
+    K = math.pi + np.concatenate(([0.0], u))
+    e = band_halfwidth(params, K) + _bound_offsets(params, K, +1)
     basis = np.column_stack([u**2, u**4])
-    coef, *_ = np.linalg.lstsq(basis, e - e0, rcond=None)
+    coef, *_ = np.linalg.lstsq(basis, e[1:] - e[0], rcond=None)
     return FlatnessReport(c2=float(coef[0]), c4=float(coef[1]),
                           half_window=half_window, n_points=n_points)
 
@@ -333,8 +330,8 @@ def band_scan(params: ModelParams, n_K: int) -> BandScan:
     if n_K < 8:
         raise ParameterError(f"n_K must be >= 8 (got {n_K})")
     K = momentum_grid(n_K)
-    e_minus = _bound_energies(params, K, -1)
-    e_plus = _bound_energies(params, K, +1)
     b = band_halfwidth(params, K)
+    e_minus = -(b + _bound_offsets(params, K, -1))
+    e_plus = b + _bound_offsets(params, K, +1)
     return BandScan(K=K, e_minus=e_minus, e_plus=e_plus,
                     band_min=-b, band_max=b, flatness=flatness_report(params))

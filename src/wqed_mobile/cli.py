@@ -129,7 +129,7 @@ def _map(args, params):
              "degenerate_points": int(table["degenerate"].sum())})
 
 
-def _bound_energies(args, params):
+def _bound_bands(args, params):
     scan = band_scan(params, args.nK)
     return ({"": (["K", "E_minus", "E_plus", "band_min", "band_max"],
                   [scan.K, scan.e_minus, scan.e_plus, scan.band_min, scan.band_max])},
@@ -297,7 +297,7 @@ COMMANDS = (
             _MAP_FLAGS),
     Command("map-recoil", "emitter recoil-energy map over (k_i, p_i)", _writes(_map),
             _MAP_FLAGS),
-    Command("bound-energies", "bound-state bands over K", _writes(_bound_energies), (
+    Command("bound-energies", "bound-state bands over K", _writes(_bound_bands), (
         ("--nK", dict(type=int, default=201, help="K-grid size")),)),
     Command("bound-wavefunction", "bound-state wavefunction at one K",
             _writes(_bound_wavefunction), (

@@ -22,6 +22,7 @@ from wqed_mobile import (
     bound_wavefunctions,
     dense_block_eigenvalues,
     flatness_report,
+    gap_energy,
     momentum_grid,
     omega_tilde,
     pole_function,
@@ -294,18 +295,38 @@ def test_weight_matches_dense_eigenvector_weight():
         assert abs(u2_plus - spec.weights[-1]) < 1e-3
 
 
+def _brentq_energies(params, K, side):
+    """Reference energies: scipy's brentq at each k of K on the solver's bracket
+    in s = log(|E| - 2|z(k)|), with the pole function written out here."""
+    from scipy.optimize import brentq
+    om2 = params.Omega**2
+    energies = []
+    for b, e_gap in zip(band_halfwidth(params, K).tolist(), gap_energy(params, K).tolist()):
+        def g(s):
+            d = math.exp(s)
+            return side * (side * (b + d) - e_gap - side * om2 / math.sqrt(d * (d + 2.0 * b)))
+        d_lo = 1e-8 * max(1.0, b)
+        while g(math.log(d_lo)) >= 0.0:
+            d_lo /= 256.0
+        d_hi = max(params.Omega, 1e-3)
+        while g(math.log(d_hi)) <= 0.0:
+            d_hi *= 2.0
+        s = brentq(g, math.log(d_lo), math.log(d_hi), xtol=1e-14, rtol=8.9e-16, maxiter=200)
+        energies.append(side * (b + math.exp(s)))
+    return np.array(energies)
+
+
 @pytest.mark.parametrize("jp, omega, delta", [
     (0.1, 0.2, 0.0), (0.5, 0.5, 3.0), (1.0, 1.0, 0.0), (2.0, 3.0, 1.0),
     (0.5, 1e-6, 0.0), (1.0, 1e-7, 0.0), (0.3, 1e-3, -2.0)])
 def test_band_scan_matches_the_scalar_solver(jp, omega, delta):
-    # band_scan solves all K at once; each energy must be the scalar root to
-    # within its Brent tolerance, also where weak coupling pins it to the
-    # band edge and where J' = J closes the band at K = pi.
+    # band_scan solves all K at once; each energy must be brentq's root bit
+    # for bit, also where weak coupling pins it to the band edge and where
+    # J' = J closes the band at K = pi.
     params = ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=omega, L=64)
     scan = band_scan(params, 401)
-    for branch, got in ((-1, scan.e_minus), (+1, scan.e_plus)):
-        want = np.array([solve_bound_state(params, k, branch).energy for k in scan.K])
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(scan.e_minus, _brentq_energies(params, scan.K, -1))
+    np.testing.assert_array_equal(scan.e_plus, _brentq_energies(params, scan.K, +1))
 
 
 def test_band_scan_without_coupling():
@@ -316,11 +337,9 @@ def test_band_scan_without_coupling():
         band_scan(params, 64)
     with pytest.raises(NoBoundState):
         band_scan(ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.0, L=64), 64)
-    from wqed_mobile.boundstates import _bound_energies
     K = momentum_grid(64)
-    np.testing.assert_allclose(_bound_energies(params, K, +1),
-                               [solve_bound_state(params, k, +1).energy for k in K],
-                               rtol=1e-13, atol=0)
+    np.testing.assert_array_equal([solve_bound_state(params, k, +1).energy for k in K],
+                                  _brentq_energies(params, K, +1))
 
 
 def test_band_scan_requires_enough_points():

@@ -323,14 +323,18 @@ def test_every_command_has_help(capsys):
         assert f"usage: wqed {cmd.name}" in capsys.readouterr().out
 
 
-def test_import_leaves_scipy_unloaded():
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # Importing the package and solving bound states load no scipy; only the
+    # wavepacket oracle needs it.
     src = str(Path(wqed_mobile.__file__).resolve().parents[1])
-    code = ("import sys, wqed_mobile; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    code = ("import sys; from wqed_mobile.cli import main; "
+            "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    for argv in ([], ["bound-energies"], ["bound-wavefunction", "--K", "1"], ["selfcheck"]):
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                             text=True, check=True, cwd=tmp_path).stdout
+        assert out.splitlines()[-1] == "0 []", argv
 
 
 def test_public_optional_parameters_are_these_five():
@@ -412,13 +416,30 @@ def test_cli_fuzz_exit_codes_and_finite_output(argv):
         finally:
             os.chdir(cwd)
         assert rc in (0, 2, 3), argv
-        if rc != 0:
-            return
-        for path in Path(tmp).iterdir():
-            text = path.read_text(encoding="utf-8")
-            if path.suffix == ".json":
-                json.loads(text, parse_constant=_reject_constant)
-                continue
-            values = np.array([float(v) for line in text.splitlines()[1:]
-                               for v in line.split(",")])
-            assert np.all(np.isfinite(values)), (argv, path.name)
+        if rc == 0:
+            _assert_finite_outputs(Path(tmp), argv)
+
+
+def _assert_finite_outputs(directory, argv):
+    for path in directory.iterdir():
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_reject_constant)
+            continue
+        values = np.array([float(v) for line in text.splitlines()[1:]
+                           for v in line.split(",")])
+        assert np.all(np.isfinite(values)), (argv, path.name)
+
+
+@pytest.mark.parametrize("argv", [
+    # A level far from the band: F's terms are 1e4-1e5 while |E| is about 2.
+    ["bound-wavefunction", "--K", "0.5", "--Delta", "1e5", "--Omega", "0.02",
+     "--branch", "minus"],
+    ["bound-energies", "--Delta=-1e4", "--Omega", "0.02"],
+    # A coupling so weak that the root sits 1.8e-222 above the band edge.
+    ["bound-wavefunction", "--Jp", "0.5", "--K", "1", "--Omega", "1e-55"],
+])
+def test_extreme_bound_states_exit_0(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    _assert_finite_outputs(tmp_path, argv)

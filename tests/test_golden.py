@@ -10,14 +10,18 @@
   entries that are zero in closed form and rounding residue in practice
   (Im f(0) and its phase);
 * emit-fixed-k and emit-localized values are pinned to 1e-10, because their
-  last digits depend on the BLAS build.
+  last digits depend on the BLAS build;
+* every bound-state job of the benchmark must pass bench/gate.py against
+  its stored fingerprint in bench/reference.json.
 
 Rewrite the record, only when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -108,6 +112,28 @@ def test_golden_output(name, tmp_path):
         assert got == want
     else:
         _assert_close(got, want, tol, name)
+
+
+def test_bound_state_jobs_pass_the_bench_gate(tmp_path, monkeypatch):
+    # Every bound-* job of the benchmark, through its correctness gate and its
+    # stored fingerprints (bench/reference.json); a bound-wavefunction phase
+    # that flips between +pi and -pi fails here as well as in the benchmark.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import gate
+    import workloads
+
+    reference = json.loads((bench / "reference.json").read_text())["cli-figures"]
+    jobs = [job for job in workloads.all_jobs("cli-figures") if job.sub.startswith("bound-")]
+    assert len(jobs) == 243
+    failures = []
+    for job in jobs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(list(job.argv) + ["--out", str(tmp_path / "job")])
+        checked = gate.check_cli_job(job, str(tmp_path), "job", rc, "", "",
+                                     reference.get(job.key))
+        failures += [(job.key, failure) for failure in checked.failures]
+    assert failures == []
 
 
 if __name__ == "__main__":
