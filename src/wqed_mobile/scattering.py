@@ -77,32 +77,35 @@ def _scatter_arrays(params: ModelParams, k_i: np.ndarray, p_i: np.ndarray):
     p_i = np.asarray(p_i, dtype=float)
     K = k_i + p_i
     z = z_of_K(params, K)
-    absz2 = np.abs(z) ** 2
-    energy = omega_tilde(params, K, p_i)
-    detuning = energy - gap_energy(params, K)
+    # Overflowing parameters give non-finite columns here, which the caller
+    # reports as a numerical failure; numpy need not warn about them first.
+    with np.errstate(all="ignore"):
+        absz2 = np.abs(z) ** 2
+        energy = omega_tilde(params, K, p_i)
+        detuning = energy - gap_energy(params, K)
 
-    half_vdiff = params.J * np.sin(p_i) - params.Jp * np.sin(k_i)
-    om2 = params.Omega**2
-    # A decoupled emitter (Omega = 0) never scatters; the velocity-degeneracy
-    # limit t=0, r=-1 is the Gamma -> infinity limit and needs Omega > 0.
-    degenerate = (np.abs(half_vdiff) <= DEGENERACY_TOL) & (om2 > 0.0)
-    gamma = np.where(degenerate, math.inf, om2 / (2.0 * np.where(
-        np.abs(half_vdiff) > DEGENERACY_TOL, half_vdiff, 1.0)))
-    safe_gamma = np.where(degenerate, 0.0, gamma)
-    denom = detuning + 1j * safe_gamma
-    # denom == 0 only when Omega = 0 exactly on resonance: free propagation.
-    free = ~degenerate & (denom == 0.0)
-    safe = np.where(degenerate | free, 1.0, denom)
-    t = np.where(degenerate, 0.0 + 0.0j, np.where(free, 1.0 + 0.0j, detuning / safe))
-    r = np.where(degenerate, -1.0 + 0.0j, np.where(free, 0.0j, -1j * safe_gamma / safe))
+        half_vdiff = params.J * np.sin(p_i) - params.Jp * np.sin(k_i)
+        om2 = params.Omega**2
+        # A decoupled emitter (Omega = 0) never scatters; the velocity-degeneracy
+        # limit t=0, r=-1 is the Gamma -> infinity limit and needs Omega > 0.
+        degenerate = (np.abs(half_vdiff) <= DEGENERACY_TOL) & (om2 > 0.0)
+        gamma = np.where(degenerate, math.inf, om2 / (2.0 * np.where(
+            np.abs(half_vdiff) > DEGENERACY_TOL, half_vdiff, 1.0)))
+        safe_gamma = np.where(degenerate, 0.0, gamma)
+        denom = detuning + 1j * safe_gamma
+        # denom == 0 only when Omega = 0 exactly on resonance: free propagation.
+        free = ~degenerate & (denom == 0.0)
+        safe = np.where(degenerate | free, 1.0, denom)
+        t = np.where(degenerate, 0.0 + 0.0j, np.where(free, 1.0 + 0.0j, detuning / safe))
+        r = np.where(degenerate, -1.0 + 0.0j, np.where(free, 0.0j, -1j * safe_gamma / safe))
 
-    # Inelastic momentum: sign-prefixed arccos, verified on-shell.  Where that
-    # fails, and at a velocity degeneracy (p_i at a band extremum, whose
-    # limiting second root is the same), take the exact root -p_i - 2 arg z(K).
-    vdiff = v_emitter(params, k_i) - v_photon(params, p_i)
-    arg = np.cos(p_i) - params.Jp * np.sin(K) * vdiff / absz2
-    arg = np.clip(arg, -1.0, 1.0)
-    sign = np.where(absz2 * np.sin(p_i) + vdiff * np.real(z) >= 0.0, 1.0, -1.0)
+        # Inelastic momentum: sign-prefixed arccos, verified on-shell.  Where that
+        # fails, and at a velocity degeneracy (p_i at a band extremum, whose
+        # limiting second root is the same), take the exact root -p_i - 2 arg z(K).
+        vdiff = v_emitter(params, k_i) - v_photon(params, p_i)
+        arg = np.cos(p_i) - params.Jp * np.sin(K) * vdiff / absz2
+        arg = np.clip(arg, -1.0, 1.0)
+        sign = np.where(absz2 * np.sin(p_i) + vdiff * np.real(z) >= 0.0, 1.0, -1.0)
     p_f2 = sign * np.arccos(arg)
     res = np.abs(omega_tilde(params, K, p_f2) - energy)
     flip = res > BRANCH_TOL * np.maximum(1.0, np.abs(energy))

@@ -471,13 +471,64 @@ def test_localized_solves_each_mirrored_block_once(monkeypatch, jp, solves):
     # at J' = 0 all blocks are the same matrix and take one.
     calls = []
 
-    def counted(params, K):
-        calls.append(K)
-        return _block_modes(params, K)
+    def counted(params, Ks, buffer=None):
+        calls.extend(Ks)
+        return chunk_modes(params, Ks, buffer)
 
-    monkeypatch.setattr(dynamics, "_block_modes", counted)
+    chunk_modes = dynamics._chunk_modes
+    monkeypatch.setattr(dynamics, "_chunk_modes", counted)
     evolve_localized(ModelParams(J=1.0, Jp=jp, Delta=0.5, Omega=0.4, L=40), 0, [0.0, 5.0])
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize("params, Ks", [
+    # Merged rings at K = 0 and -pi, and a level below the band.
+    (ModelParams(J=1.0, Jp=0.5, Delta=-3.0, Omega=1.0, L=40), momentum_grid(40)),
+    # J' = 0: every ring merged; Omega = 0: no bright pole.
+    (ModelParams(J=1.0, Jp=0.0, Delta=0.3, Omega=0.4, L=12), momentum_grid(12)),
+    (ModelParams(J=1.0, Jp=0.7, Delta=0.3, Omega=0.0, L=12), momentum_grid(12)),
+    # J' = J: the band at K = -pi is one pole, solved by its quadratic.
+    (ModelParams(J=1.0, Jp=1.0, Delta=0.5, Omega=0.2, L=10), momentum_grid(10)),
+    # Roots below and above the band at strong coupling.
+    (ModelParams(J=1.0, Jp=1.7, Delta=3.0, Omega=3.0, L=16), momentum_grid(16)),
+    # The near-merged families of the engine's property test.
+    (ModelParams(J=1.0, Jp=0.0146, Delta=-0.645, Omega=1e-6, L=42), [1e-12, 0.3, -math.pi]),
+    (ModelParams(J=1.0, Jp=1 - 1e-12, Delta=2.0, Omega=1e-9, L=20), [-math.pi / 2, 0.0, 1.1]),
+    (ModelParams(J=1.0, Jp=1 - 1e-12, Delta=-2.0, Omega=1e-9, L=22),
+     [math.pi - 1e-12, -math.pi, 0.4]),
+])
+def test_batched_blocks_equal_their_one_block_solves(params, Ks):
+    # Solving the roots of many blocks at once, one, three or all blocks per
+    # batch, changes no bit of any block's energies, weights or inverse.
+    single = [dynamics._block_modes(params, K) for K in Ks]
+    buffer = np.empty(params.L * (params.L + 1))
+    for per in (1, 3, len(Ks)):
+        for i in range(0, len(Ks), per):
+            for one, modes in zip(single[i:], dynamics._chunk_modes(params, Ks[i:i + per],
+                                                                    buffer)):
+                assert np.array_equal(modes.energy, one.energy)
+                assert np.array_equal(modes.weight, one.weight)
+                assert np.array_equal(modes.inverse, one.inverse)
+
+
+def test_stepped_phases_match_exact_phases():
+    # 2001 samples to t = 2000 and two times off the grid: every stepped
+    # exp(-iEt) is within 1e-13 of exp(-iEt) formed in long double, whose
+    # product E t carries no double rounding (up to 4.5e-13 at E t = 6000).
+    times = np.sort(np.concatenate((np.linspace(0.0, 2000.0, 2001), [49.3, 1234.567])))
+    E = np.random.default_rng(5).uniform(-3.0, 3.0, 300)
+    exact = np.exp(-1j * np.multiply.outer(times.astype(np.longdouble), E))
+    stepped = dynamics._psi_e(times, list(E[:, None]), [np.ones(1)] * E.size)
+    assert np.abs(stepped - exact).max() <= 1e-13
+
+
+def test_localized_psi_e_matches_dense_to_t_1000():
+    params = ModelParams(J=1.0, Jp=0.4, Delta=0.5, Omega=0.3, L=16)
+    times = np.sort(np.append(np.linspace(0.0, 1000.0, 501), 333.3))
+    run = evolve_localized(params, 0, times, snapshots=[1000.0])
+    for m, K in enumerate(momentum_grid(params.L)):
+        psi_ref, _ = _dense_evolution(params, K, 1.0, np.zeros(params.L), times)
+        assert np.abs(run.psi_e[:, m] - psi_ref).max() <= 1e-10
 
 
 def _dense_evolution(params, K, psi_e0, phi0, times):
@@ -662,7 +713,8 @@ def test_ring_sum_matches_a_long_double_direct_sum(L, jp, K, where, u):
     X = j + s
     if where.startswith("below"):
         kappa = 3.0 * u if where == "below" else 2 * math.asinh(math.sqrt(1e-6 / 2))
-        S = dynamics._ring_sum_below(ring.b, L, ring.ell, np.array([kappa]))[0][0]
+        S = dynamics._ring_sum_below(ring.b, L, math.sin(0.5 * ring.ell) ** 2,
+                                     np.array([kappa]))[0][0]
         d = -4 * b * (np.sinh(np.longdouble(kappa) / 2) ** 2 + np.sin(X / L) ** 2)
     else:
         lower = np.flatnonzero(ring.X <= L * math.pi / 4)
