@@ -11,7 +11,7 @@ whose sum over the even ring has a closed form, the finite-ring lattice
 Green's function (Economou, Green's Functions in Quantum Physics).  So the
 eigenvalues cost O(L) per block, and only the stored 1 / (E_n - pole) O(L^2).
 Every block starts from the excited emitter with the field empty; psi_e's
-phases exp(-iEt) are exact at every 64th time and stepped by exp(-iE dt) between.
+phases exp(-iEt) are stepped by exp(-iE dt) over a recurring exact dt.
 
 An emitter localized at site x0 is the uniform superposition
 c_K = e^{i K x0} / sqrt(L) of the blocks' excited states; position-space
@@ -87,11 +87,9 @@ def _time_index(times: np.ndarray, t: float, what: str = "sampled times") -> int
 
 
 def _check_block_budget(L: int, n_blocks: int, n_times: int, n_snapshots: int):
-    # A chunk in flight (~64 arrays over its roots, its phases, step factors and
-    # temporaries over the times), the reused (L+1) x L inverse with ~400 doubles
-    # a row that BLAS packs, one block's snapshot phases, then all psi_e and phi.
-    roots = min(n_blocks, max(1, _CHUNK_ROOTS // (L + 1))) * (L + 1)
-    check_memory(8 * roots * (64 + 10 * n_times)
+    # A chunk's ~900 doubles a root (~64 arrays, 8 step factors, 64 rows of phases), the
+    # reused inverse and ~400 doubles a row BLAS packs, one block's snapshot phases, all output.
+    check_memory(8 * 900 * min(n_blocks, max(1, _CHUNK_ROOTS // (L + 1))) * (L + 1)
                  + 8 * (L + 1) * (L + 400 + 6 * n_snapshots)
                  + 16 * n_blocks * (n_times + n_snapshots * L),
                  "K-block work", "reduce L, the sample count or the snapshots")
@@ -215,15 +213,10 @@ def _ring_sum_below(b, L: int, sin2, kappa):
     return S, (dF + S * 2 * b * np.cosh(kappa)) / s, s
 
 
-def _block_modes(params: ModelParams, K: float) -> _BlockModes:
-    """Eigenpairs of the K block without forming the matrix (_chunk_modes of one K)."""
-    return next(_chunk_modes(params, [K]))
-
-
 def _chunk_modes(params: ModelParams, Ks, buffer: np.ndarray | None = None):
-    """The _BlockModes of each K block in turn, their secular roots solved in
-    one batch.  Each `inverse` is written into `buffer` (L (L+1) doubles),
-    which the next block overwrites; by default each block gets its own."""
+    """The _BlockModes of each K block in turn, without forming the matrix, their
+    secular roots solved in one batch.  Each `inverse` is written into `buffer`
+    (L (L+1) doubles), which the next block overwrites; by default each gets its own."""
     L, g = params.L, params.Omega / math.sqrt(params.L)
     tol = 32 * _EPS * (params.J + params.Jp)  # exact degeneracies round apart by ~10 eps
     blocks = []
@@ -404,31 +397,38 @@ def _phi(modes: _BlockModes, snapshots: np.ndarray) -> np.ndarray:
 
 def _psi_e(times: np.ndarray, energies, weights) -> np.ndarray:
     """sum_n w_n exp(-i E_n t) per block (energy and weight arrays) at every time.
-    Every 64th time and each after an inexact step takes its own cos and sin;
-    any other steps the time before by exp(-i E dt), one factor per dt."""
+    A time (not every 64th) an exact dt after the last steps by exp(-i E dt) if dt recurs
+    among the 8 commonest; the rest take cos and sin, 64 at once, exact if a step follows."""
     energy, dt = np.concatenate(energies), np.diff(times, prepend=0.0)
     step = (np.arange(times.size) % 64 > 0) & (dt - times == -np.r_[0.0, times[:-1]])  # Fast2Sum
-    fresh = iter(_phases(times[~step], energy, exact=True) * np.concatenate(weights))
-    factors = {d: _phases(np.array([d]), energy, exact=True)[0] for d in set(dt[step])}
-    starts = np.cumsum([0] + [e.size for e in energies[:-1]])
+    d, count = np.unique(dt[step], return_counts=True)
+    d = d[count > 1][np.argsort(count[count > 1], kind="stable")[-8:]]
+    factors = dict(zip(d, _phases(d, energy, exact=np.ones(d.size, dtype=bool))))
+    fresh = np.flatnonzero(~(step & np.isin(dt, list(factors))))
+    ends, starts = np.r_[fresh[1:], times.size], np.cumsum([0] + [e.size for e in energies[:-1]])
     psi = np.empty((times.size, len(energies)), dtype=complex)
-    for j in range(times.size):
-        row = row * factors[dt[j]] if step[j] else next(fresh)
-        psi[j] = np.add.reduceat(row, starts)
+    for i in range(0, fresh.size, 64):
+        rows = _phases(times[fresh[i:i + 64]], energy, ends[i:i + 64] > fresh[i:i + 64] + 1)
+        rows *= np.concatenate(weights)
+        psi[fresh[i:i + 64]] = np.add.reduceat(rows, starts, axis=1)
+        for row, j0, j1 in zip(rows, fresh[i:i + 64], ends[i:i + 64]):
+            for j in range(j0 + 1, j1):  # the steps up to the next fresh time
+                row *= factors[dt[j]]
+                psi[j] = np.add.reduceat(row, starts)
     return psi
 
 
-def _phases(a: np.ndarray, b: np.ndarray, exact: bool = False) -> np.ndarray:
-    """exp(-i a_j b_k) over (j, k), from one real product and its cos and sin;
-    `exact` turns each by the product's rounding (4.5e-13 at |a b| = 6000)."""
+def _phases(a: np.ndarray, b: np.ndarray, exact: np.ndarray | None = None) -> np.ndarray:
+    """exp(-i a_j b_k) over (j, k), from one real product and its cos and sin; the rows
+    in the mask `exact` turn by its rounding where long double is wider than double."""
     arg = np.multiply.outer(a, b)
     out = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=out.real)
     np.sin(arg, out=out.imag)
     np.negative(out.imag, out=out.imag)
-    if exact:  # the rounding, from a long double product
-        err = (np.multiply.outer(a.astype(np.longdouble), b) - arg).astype(float)
-        out *= np.exp(-1j * err) if err.any() else 1
+    if exact is not None:  # exp(-i err) rounds to 1 - i err
+        ld = np.multiply.outer(a[exact].astype(np.longdouble), b)
+        out[exact] *= 1 - 1j * (ld - arg[exact]).astype(float)
     return out
 
 
@@ -448,7 +448,7 @@ def evolve_fixed_K(params: ModelParams, K: float, times) -> KBlockTrajectory:
     """Evolve one K block exactly from the excited emitter |K> with no photon."""
     times = _checked_times(times)
     _check_block_budget(params.L, 1, times.size, times.size)
-    modes = _block_modes(params, K)
+    modes = next(_chunk_modes(params, [K]))
     psi_e = _psi_e(times, [modes.energy], [modes.weight])[:, 0]
     return KBlockTrajectory(K=float(K), times=times, psi_e=psi_e, phi=_phi(modes, times))
 
