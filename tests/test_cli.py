@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import wqed_mobile
 from wqed_mobile.cli import COMMANDS, main
+from wqed_mobile.dynamics import LocalizedRun
 
 
 def _read_csv(path):
@@ -112,11 +113,18 @@ def test_emit_fixed_k(tmp_path, monkeypatch):
 
 def test_emit_localized(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    pe_calls = []
+    pe_total = LocalizedRun.pe_total
+    monkeypatch.setattr(LocalizedRun, "pe_total",
+                        lambda run: pe_calls.append(run) or pe_total(run))
     assert main(["emit-localized", "--Jp", "0.5", "--Omega", "0.2",
                  "--Delta", "0", "--L", "64", "--tmax", "10", "--nt", "6",
                  "--snapshot", "5", "--snapshot", "10"]) == 0
+    assert len(pe_calls) == 1  # one P_e(t) for the _pe table and the sidecar
     h_pe, rows_pe = _read_csv(tmp_path / "emit-localized_pe.csv")
     assert h_pe == ["t", "P_e_total"]
+    meta = json.loads((tmp_path / "emit-localized.json").read_text())
+    assert f"{meta['final_pe_total']:.12e}" == rows_pe[-1][1]
     for snap in ("5", "10"):
         header, rows = _read_csv(tmp_path / f"emit-localized_x_t{snap}.csv")
         assert header == ["x", "N", "P_g", "P_e"]

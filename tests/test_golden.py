@@ -1,7 +1,7 @@
 """Golden CLI outputs at small sizes, recorded in tests/golden.json.
 
 * map-transmission, map-recoil and windows CSV files are pinned by SHA-256
-  of their bytes;
+  of their bytes, the maps also at the README's 101 x 101 size;
 * every sidecar must equal the recorded one after dropping `wall_time_s`
   and `threads` (the latter follows os.cpu_count()); scatter's `result`
   block is compared exactly;
@@ -44,6 +44,9 @@ CASES = {
                     "--nk", "5", "--np", "7"], [""], None),
     "windows": (["windows", "--Jp", "0.5", "--Delta", "3", "--Omega", "0.2"],
                 [""], None),
+    **{f"{sub}-101-Jp{jp}": ([sub, "--Jp", jp, "--Omega", "0.5", "--Delta", "0",
+                              "--nk", "101", "--np", "101"], [""], None)
+       for sub in ("map-transmission", "map-recoil") for jp in ("0", "0.5")},
     "windows-lower": (["windows", "--Jp", "1.2", "--Delta", "-3"], [""], None),
     "bound-energies": (["bound-energies", "--Jp", "0.5", "--Omega", "1",
                         "--nK", "16", "--L", "64"], [""], (1e-12, 1e-15)),
