@@ -426,9 +426,9 @@ def _phases(a: np.ndarray, b: np.ndarray, exact: np.ndarray | None = None) -> np
     np.cos(arg, out=out.real)
     np.sin(arg, out=out.imag)
     np.negative(out.imag, out=out.imag)
-    if exact is not None:  # exp(-i err) rounds to 1 - i err
-        ld = np.multiply.outer(a[exact].astype(np.longdouble), b)
-        out[exact] *= 1 - 1j * (ld - arg[exact]).astype(float)
+    if exact is not None:  # exp(-i err), on the unit circle at any E t
+        err = (np.multiply.outer(a[exact].astype(np.longdouble), b) - arg[exact]).astype(float)
+        out[exact] *= np.cos(err) - 1j * np.sin(err)
     return out
 
 
@@ -539,8 +539,9 @@ class EmissionWindows:
     """Embedded-momentum classification for one (Delta, J') pair.
 
     windows are the connected components of {K in [-pi, pi] :
-    |E_{K,Delta}| <= 2|z(K)|}: none, one centered at K = 0, or a mirrored
-    pair (a component around pi is reported split at +-pi).  w_plus is the
+    |E_{K,Delta}| <= 2|z(K)|}, whose ends are the closed-form roots of a
+    quadratic in cos K: none, one centered at K = 0, or a mirrored pair (a
+    component around pi is reported split at +-pi).  w_plus is the
     positive-K extent of a window centered at K = 0; w_minus the width of a
     window detached from K = 0.  jc_minus / jc_plus are the exact critical
     emitter hoppings at which a window first opens as J' grows (endpoint
@@ -557,10 +558,6 @@ class EmissionWindows:
     jc_plus_approx: float
     jc_minus_approx: float
     embedded_fraction: float
-
-
-def _embedding_margin(params: ModelParams, K):
-    return band_halfwidth(params, K) - np.abs(gap_energy(params, K))
 
 
 def critical_jp_upper(J: float, delta: float) -> float:
@@ -589,32 +586,29 @@ def critical_jp_lower(J: float, delta: float) -> float:
 def classify_regime_and_windows(params: ModelParams) -> EmissionWindows:
     """Embedded set of momenta, window widths, and critical couplings.
 
-    |E_{K,Delta}| <= 2|z(K)| is a convex quadratic inequality in cos K, so on
-    [0, pi] (the margin is even in K) it holds on one interval at most.  That
-    interval is scanned at 4001 points, its ends are bisected to 1e-8, and it
-    is mirrored to negative K; one narrower than the step pi/4000 may be missed.
+    |E_{K,Delta}| <= 2|z(K)| is 4J'^2 c^2 - 4J'(Delta + 2J) c + Delta^2 - 4J^2
+    - 4J'^2 <= 0 in c = cos K, whose roots in u = J' c are s/2 -+ sqrt(J s +
+    J'^2), s = Delta + 2J: the larger in size directly, the other by Vieta,
+    both from ratios and square roots of the inputs so that no scale under- or
+    overflows.  Clipped to [-1, 1], their c give the ends on [0, pi] by acos,
+    mirrored to negative K (the set is even in K); at J' = 0 all K or none.
     """
-    ks = np.linspace(0.0, math.pi, 4001)
-    inside = np.flatnonzero(_embedding_margin(params, ks) >= 0.0)
-
-    def refine(k_out: float, k_in: float) -> float:
-        # margin < 0 at k_out, >= 0 at k_in
-        for _ in range(200):
-            if abs(k_in - k_out) < 1e-8:
-                break
-            mid = 0.5 * (k_out + k_in)
-            if _embedding_margin(params, mid) >= 0.0:
-                k_in = mid
-            else:
-                k_out = mid
-        return 0.5 * (k_out + k_in)
+    J, Jp, delta = params.J, params.Jp, params.Delta
+    s = delta + 2.0 * J
+    q = math.sqrt(J) * math.sqrt(abs(s))
+    c_lo = c_hi = math.inf  # the embedded range of cos K, empty unless set below
+    if Jp == 0.0 and abs(delta) <= 2.0 * J:
+        c_lo, c_hi = -1.0, 1.0
+    elif Jp > 0.0 and (s >= 0.0 or Jp >= q):
+        r = math.hypot(q, Jp) if s >= 0.0 else math.sqrt(Jp - q) * math.sqrt(Jp + q)
+        far = 0.5 * s + math.copysign(r, s)  # u of larger size, never 0 as J' > 0
+        near = ((delta - 2.0 * J) / 4.0 * (s / far) - Jp * (Jp / far)) / Jp
+        c_lo, c_hi = sorted((far / Jp, near))
 
     windows: tuple[tuple[float, float], ...] = ()
     fraction, regime, w_plus, w_minus = 0.0, "none", None, None
-    if inside.size:
-        i, j = inside[0], inside[-1]
-        lo = ks[i] if i == 0 else refine(ks[i - 1], ks[i])
-        hi = ks[j] if j == ks.size - 1 else refine(ks[j + 1], ks[j])
+    if c_lo <= 1.0 and c_hi >= -1.0:
+        lo, hi = math.acos(min(c_hi, 1.0)), math.acos(max(c_lo, -1.0))
         fraction = (hi - lo) / math.pi
         regime = "all" if lo == 0.0 and hi == math.pi else "selective"
         if lo == 0.0:
@@ -679,17 +673,19 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
     sampled times (default: all of them).  Only blocks K = -pi .. 0 are
     solved; block -K is block K read at -p, and at J' = 0 one solve serves all.
     """
-    if not math.isfinite(x0) or x0 != int(x0):
+    if not (isinstance(x0, (int, np.integer)) or float(x0).is_integer()):
         raise ParameterError(f"x0 must be an integer site (got {x0!r})")
+    x0 = int(x0)
     times = _checked_times(times)
     snapshots = times if snapshots is None else times[
         [_time_index(times, t) for t in np.atleast_1d(snapshots)]]
     L = params.L
     _check_block_budget(L, L, times.size, snapshots.size)
     kgrid = momentum_grid(L)
-    c = np.exp(1j * kgrid * x0) / math.sqrt(L)
-
     n = np.arange(L)
+    # e^{i K_n x0} = (-1)^x0 e^{2 pi i (n x0 mod L) / L}, exact for any integer x0.
+    c = (-1) ** (x0 % 2) * np.exp(2j * math.pi / L * (n * (x0 % L) % L)) / math.sqrt(L)
+
     flip = (L - n) % L  # grid index of -p_n
     # Block -K is block K read at -p (K = -pi and 0 are their own mirrors and
     # keep their own order, written last); at J' = 0 every block is one matrix.
@@ -708,7 +704,7 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
             solved.append((modes.energy, modes.weight))
         for source, psi in zip(chunk, _psi_e(times, *zip(*solved)).T):
             psi_e[:, [m for m, _ in serves[source]]] = psi[:, None]
-    return LocalizedRun(params=params, x0=int(x0), times=times, c=c,
+    return LocalizedRun(params=params, x0=x0, times=times, c=c,
                         psi_e=psi_e, phi=phi, snapshots=snapshots)
 
 

@@ -53,17 +53,21 @@ class BlockSpectrum:
         return int(np.count_nonzero(np.abs(self.eigenvalues) > halfwidth + margin))
 
 
+def _dense_block(params: ModelParams, K: float) -> np.ndarray:
+    """The K block, once its dense eigensolver's ~6 (L+1)(L+2) doubles fit the budget."""
+    check_memory(6 * (params.L + 1) * (params.L + 2) * 8, "dense K-block work", "reduce L")
+    return block_hamiltonian(params, K)
+
+
 def dense_block_diagonalize(params: ModelParams, K: float) -> BlockSpectrum:
     """Full eigendecomposition of the K block; weights are |<K|v_n>|^2."""
-    check_memory(6 * (params.L + 1) * (params.L + 2) * 8, "dense K-block work", "reduce L")
-    w, v = np.linalg.eigh(block_hamiltonian(params, K))
+    w, v = np.linalg.eigh(_dense_block(params, K))
     return BlockSpectrum(K=float(K), eigenvalues=w, weights=np.abs(v[0, :]) ** 2)
 
 
 def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
     """Eigenvalues only (ascending); cheaper than the full decomposition."""
-    check_memory(6 * (params.L + 1) * (params.L + 2) * 8, "dense K-block work", "reduce L")
-    return np.linalg.eigvalsh(block_hamiltonian(params, K))
+    return np.linalg.eigvalsh(_dense_block(params, K))
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,21 @@ def test_emit_localized(tmp_path, monkeypatch):
         assert abs(pe_sum + pg_sum - 1.0) < 1e-9
 
 
+def test_emit_localized_at_astronomical_times_and_sites(tmp_path, monkeypatch):
+    # At t = 1e20, E t is far past double's resolution, yet P_e stays a
+    # probability; 10**400, beyond any float, is a site (that of 0 on L = 8).
+    monkeypatch.chdir(tmp_path)
+    assert main(["emit-localized", "--L", "8", "--nt", "3", "--tmax", "1e20"]) == 0
+    _, rows = _read_csv(tmp_path / "emit-localized_pe.csv")
+    assert all(0.0 <= float(r[1]) <= 1.0 + 1e-12 for r in rows)
+    base = ["emit-localized", "--Jp", "0.5", "--Omega", "0.2", "--L", "8", "--nt", "3",
+            "--tmax", "2"]
+    assert main(base + ["--x0", str(10**400), "--out", "far"]) == 0
+    assert main(base + ["--out", "near"]) == 0
+    for suffix in ("_pe.csv", "_x_t2.csv"):
+        assert (tmp_path / f"far{suffix}").read_bytes() == (tmp_path / f"near{suffix}").read_bytes()
+
+
 def test_emit_localized_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     base = ["emit-localized", "--Jp", "0.3", "--Omega", "0.4", "--L", "64",
@@ -151,7 +166,7 @@ def test_windows_command(tmp_path, monkeypatch):
     assert main(["windows", "--Jp", "0.5", "--Delta", "3", "--Omega", "0.2"]) == 0
     meta = json.loads((tmp_path / "windows.json").read_text())
     assert meta["regime"] == "selective"
-    assert meta["w_plus"] == pytest.approx(math.acos(5.0 - math.sqrt(21.0)), abs=1e-6)
+    assert meta["w_plus"] == pytest.approx(math.acos(5.0 - math.sqrt(21.0)), rel=1e-15)
     assert meta["jc_plus"] == 0.25
     header, rows = _read_csv(tmp_path / "windows.csv")
     assert header == ["K_lo", "K_hi"]

@@ -240,15 +240,14 @@ def test_windows_upper_selective():
     win = classify_regime_and_windows(params)
     assert win.regime == "selective"
     ref = math.acos(5.0 - math.sqrt(21.0))
-    assert win.w_plus == pytest.approx(ref, abs=1e-6)
+    assert win.w_plus == pytest.approx(ref, rel=1e-15)
     assert win.w_minus is None
     assert win.jc_plus == 0.25
     assert win.jc_plus_approx == 0.25
-    assert win.embedded_fraction == pytest.approx(ref / math.pi, abs=1e-6)
+    assert win.embedded_fraction == pytest.approx(ref / math.pi, rel=1e-15)
     assert len(win.windows) == 1
     lo, hi = win.windows[0]
-    assert lo == pytest.approx(-ref, abs=1e-6)
-    assert hi == pytest.approx(ref, abs=1e-6)
+    assert lo == -hi == pytest.approx(-ref, rel=1e-15)
 
 
 def test_windows_lower_selective():
@@ -297,32 +296,12 @@ def test_critical_couplings_edges_and_numeric_oracle():
                 hi = mid
             else:
                 lo = mid
-        assert 0.5 * (lo + hi) == pytest.approx(jc, abs=1e-6)
+        assert 0.5 * (lo + hi) == pytest.approx(jc, abs=1e-11)
 
 
-def _embedded_interval(jp: float, delta: float):
-    """Exact embedded interval [K_lo, K_hi] of [0, pi] at J = 1, or None.
-
-    (Delta - 2J' cos K)^2 <= 4|z(K)|^2 holds where cos K lies between the
-    roots of 4J'^2 c^2 - 4J'(Delta + 2)c + Delta^2 - 4 - 4J'^2, that is
-    where u = J' c lies between (Delta + 2)/2 -+ sqrt(Delta + 2 + J'^2).
-    """
-    s = delta + 2.0
-    if s >= 0.0:
-        r = math.hypot(math.sqrt(s), jp)
-    elif jp >= math.sqrt(-s):
-        r = math.sqrt((jp - math.sqrt(-s)) * (jp + math.sqrt(-s)))
-    else:
-        return None
-    far = 0.5 * s + math.copysign(r, s)  # the root of larger size, then Vieta
-    u_lo, u_hi = sorted((far, ((delta - 2.0) * s - 4.0 * jp * jp) / (4.0 * far)))
-    c_lo, c_hi = max(u_lo / jp, -1.0), min(u_hi / jp, 1.0)
-    return (math.acos(c_hi), math.acos(c_lo)) if c_lo <= c_hi else None
-
-
-def _embedding_quadratic(jp: float, delta: float, K: float) -> Fraction:
-    """4|z(K)|^2 - E_K^2 at J = 1, exact at the rounded cos K: >= 0 where embedded."""
-    c, jp, delta = Fraction(math.cos(K)), Fraction(jp), Fraction(delta)
+def _embedding_quadratic(jp: float, delta: float, c) -> Fraction:
+    """4|z|^2 - E_K^2 at J = 1 and cos K = c, exact: >= 0 where embedded."""
+    c, jp, delta = Fraction(c), Fraction(jp), Fraction(delta)
     return -(4 * jp**2 * c**2 - 4 * jp * (delta + 2) * c + delta**2 - 4 - 4 * jp**2)
 
 
@@ -341,30 +320,70 @@ def test_windows_match_closed_form_interval(jp, delta):
         assert win.windows == (((-math.pi, math.pi),) if embedded else ())
         assert win.embedded_fraction == (1.0 if embedded else 0.0)
         return
-    # The scan decides each K by the sign of the rounded margin 2|z| - |E|;
-    # where the exact quadratic is within that rounding of zero, either answer
-    # is right.
+    # Zero to the rounding of the quadratic's coefficients and of cos K.
     tol = 16 * np.finfo(float).eps * (2.0 + 4.0 * jp + abs(delta)) ** 2
 
     def q(K):
-        return _embedding_quadratic(jp, delta, K)
+        return _embedding_quadratic(jp, delta, math.cos(K))
 
-    exact = _embedded_interval(jp, delta)
-    wide = exact is not None and exact[1] - exact[0] > math.pi / 4000
-    if not win.windows:  # only a window narrower than the scan step may be missed
+    if not win.windows:  # the concave quadratic's maximum over [-1, 1] is not above 0
         assert win.regime == "none" and win.embedded_fraction == 0.0
-        assert not wide or q(0.5 * (exact[0] + exact[1])) <= tol
+        vertex = (Fraction(delta) + 2) / (2 * Fraction(jp))
+        assert _embedding_quadratic(jp, delta, min(max(vertex, -1), 1)) <= tol
         return
     lo, hi = max(win.windows[-1][0], 0.0), win.windows[-1][1]  # the part at K >= 0
     assert win.embedded_fraction == pytest.approx((hi - lo) / math.pi, abs=1e-15)
-    # The reported window lies inside the embedded set (q is concave in cos K,
-    # so its two ends, less the bisection tolerance, stand for all of it).
-    inset = min(1e-8, 0.5 * (hi - lo))
-    assert q(lo + inset if lo > 0.0 else lo) >= -tol
-    assert q(hi - inset if hi < math.pi else hi) >= -tol
-    if wide:  # resolvable by the scan: nothing embedded lies 1e-8 beyond an edge
-        assert lo == 0.0 or q(lo - 1e-8) <= tol
-        assert hi == math.pi or q(hi + 1e-8) <= tol
+    # Each end is a root, or sits at 0 or pi inside the embedded set, and the
+    # midpoint is embedded: the quadratic is concave in cos K, so the window
+    # lies in the embedded set ...
+    assert abs(q(lo)) <= tol or (lo == 0.0 and q(lo) >= -tol)
+    assert abs(q(hi)) <= tol or (hi == math.pi and q(hi) >= -tol)
+    assert q(0.5 * (lo + hi)) >= -tol
+    # ... and is all of it: the quadratic's maximum over [-1, 1], at the
+    # clipped vertex, is inside (to the sqrt(tol) / (2 J') by which tol can
+    # move a root near a tangency), and nothing 1e-8 past an end is embedded.
+    vertex = min(max((Fraction(delta) + 2) / (2 * Fraction(jp)), -1), 1)
+    slack = math.sqrt(tol) / (2.0 * jp)
+    assert math.cos(hi) - slack <= vertex <= math.cos(lo) + slack
+    assert lo == 0.0 or q(lo - min(1e-8, lo)) <= tol
+    assert hi == math.pi or q(hi + min(1e-8, math.pi - hi)) <= tol
+
+
+def test_windows_narrow_and_at_an_underflowing_coupling():
+    # 1e-9 above jc_minus the windows are ~1.1e-4 wide, far below a scan step
+    # pi/4000: to first order in dJ' the roots sit -+ sqrt(2 jc dJ') / jc
+    # about cos K* = (Delta + 2) / (2 jc) = -0.354.
+    jc, d = critical_jp_lower(1.0, -2.5), 1e-9
+    win = classify_regime_and_windows(ModelParams(J=1.0, Jp=jc + d, Delta=-2.5))
+    assert win.regime == "selective" and len(win.windows) == 2
+    c_star = -0.5 / (2.0 * jc)
+    width = 2.0 * math.sqrt(2.0 * jc * d) / (jc * math.sqrt(1.0 - c_star**2))
+    assert win.w_minus == pytest.approx(width, rel=1e-6)
+    assert win.windows[1][0] < math.acos(c_star) < win.windows[1][1]
+    # J'^2 underflows at J' = 1e-300: at Delta = -2J the roots are cos K = -+1,
+    # not the single point cos K = 0 of a formula that squares J'.
+    # At J' = 5e-324 (Delta - 2J) / J' overflows, yet it meets only the
+    # vanishing s = Delta + 2J.
+    for jp in (1e-300, 5e-324):
+        win = classify_regime_and_windows(ModelParams(J=1.0, Jp=jp, Delta=-2.0))
+        assert win.regime == "all"
+        assert win.windows == ((-math.pi, math.pi),) and win.embedded_fraction == 1.0
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 2.0**-600, 1e100, 1e150])
+def test_windows_are_scale_free(scale):
+    # E_{K,Delta} and 2|z(K)| are linear in (J, J', Delta), so the windows do
+    # not depend on the scale, also where a product of two inputs, such as
+    # J (Delta + 2J) at 1e-200, would under- or overflow.
+    for jp, delta in ((1.0, 1.0), (0.5, 3.0), (1.2, -3.0), (0.5, -2.0), (0.3, 2.5)):
+        ref = classify_regime_and_windows(ModelParams(J=1.0, Jp=jp, Delta=delta))
+        win = classify_regime_and_windows(
+            ModelParams(J=scale, Jp=jp * scale, Delta=delta * scale))
+        assert win.regime == ref.regime
+        assert np.allclose(win.windows, ref.windows, rtol=1e-14, atol=0.0)
+        assert win.embedded_fraction == pytest.approx(ref.embedded_fraction, rel=1e-14)
+    win = classify_regime_and_windows(ModelParams(J=scale, Jp=scale, Delta=scale))
+    assert win.w_plus == pytest.approx(2.0 * math.pi / 3.0, rel=1e-15)  # cos K = -1/2
 
 
 def test_localized_initial_state():
@@ -385,6 +404,22 @@ def test_localized_rejects_a_non_integer_site(x0):
         evolve_localized(params, x0, [0.0])
     run = evolve_localized(params, 2.0, [0.0])  # an integral float is a site
     assert run.x0 == 2
+
+
+def test_localized_site_phase_is_exact_for_any_integer_site():
+    # c_K = e^{i K x0} / sqrt(L) from integers: x0 and x0 + 10^15 L are one
+    # ring site with the same bits, and x0 = 0 is 1 / sqrt(L) exactly.
+    params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=64)
+    near = evolve_localized(params, 3, [0.0, 5.0])
+    far = evolve_localized(params, 3 + 10**15 * params.L, [0.0, 5.0])
+    assert far.x0 == 3 + 10**15 * params.L
+    assert np.array_equal(near.c, far.c)
+    a, b = position_observables(near, 5.0), position_observables(far, 5.0)
+    for name in ("n_photon", "p_ground", "p_excited"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    kgrid = momentum_grid(params.L)
+    assert np.abs(near.c - np.exp(3j * kgrid) / 8.0).max() <= 1e-15
+    assert np.array_equal(evolve_localized(params, 0, [0.0]).c, np.full(params.L, 0.125))
 
 
 def test_localized_sum_rules_and_norm():
@@ -530,6 +565,15 @@ def test_stepped_phases_match_exact_phases():
     grid = ~np.isin(times, off)
     assert np.abs(phases[grid] - exact[grid]).max() <= 1e-13
     assert np.abs(phases[~grid] - np.exp(-1j * np.multiply.outer(off, E))).max() <= 1e-15
+
+
+def test_phases_stay_on_the_unit_circle():
+    # The rows turned by their long-double rounding keep |exp(-i a b)| = 1 to
+    # rounding even where a b (up to 3e20) is far past double's resolution.
+    a = np.geomspace(1e-3, 1e20, 47)
+    b = np.random.default_rng(7).uniform(-3.0, 3.0, 100)
+    for exact in (np.ones(a.size, dtype=bool), a > 1e8, None):
+        assert np.abs(np.abs(dynamics._phases(a, b, exact)) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
 def test_localized_psi_e_matches_dense_to_t_1000():

@@ -11,8 +11,8 @@
   (Im f(0) and its phase);
 * emit-fixed-k and emit-localized values are pinned to 1e-10, because their
   last digits depend on the BLAS build;
-* every bound-state job of the benchmark must pass bench/gate.py against
-  its stored fingerprint in bench/reference.json.
+* every bound-state and windows job of the benchmark must pass bench/gate.py
+  against its stored fingerprint in bench/reference.json.
 
 Rewrite the record, only when an output change is intended, with
 
@@ -117,18 +117,17 @@ def test_golden_output(name, tmp_path):
         _assert_close(got, want, tol, name)
 
 
-def test_bound_state_jobs_pass_the_bench_gate(tmp_path, monkeypatch):
-    # Every bound-* job of the benchmark, through its correctness gate and its
-    # stored fingerprints (bench/reference.json); a bound-wavefunction phase
-    # that flips between +pi and -pi fails here as well as in the benchmark.
+def _bench_gate_failures(tmp_path, monkeypatch, sub: str, count: int) -> list:
+    """Run every cli-figures job whose subcommand starts with `sub` through
+    bench/gate.py's checks and its stored fingerprints (bench/reference.json)."""
     bench = Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.syspath_prepend(str(bench))
     import gate
     import workloads
 
     reference = json.loads((bench / "reference.json").read_text())["cli-figures"]
-    jobs = [job for job in workloads.all_jobs("cli-figures") if job.sub.startswith("bound-")]
-    assert len(jobs) == 243
+    jobs = [job for job in workloads.all_jobs("cli-figures") if job.sub.startswith(sub)]
+    assert len(jobs) == count
     failures = []
     for job in jobs:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -136,7 +135,18 @@ def test_bound_state_jobs_pass_the_bench_gate(tmp_path, monkeypatch):
         checked = gate.check_cli_job(job, str(tmp_path), "job", rc, "", "",
                                      reference.get(job.key))
         failures += [(job.key, failure) for failure in checked.failures]
-    assert failures == []
+    return failures
+
+
+def test_bound_state_jobs_pass_the_bench_gate(tmp_path, monkeypatch):
+    # A bound-wavefunction phase that flips between +pi and -pi fails here as
+    # well as in the benchmark.
+    assert _bench_gate_failures(tmp_path, monkeypatch, "bound-", 243) == []
+
+
+def test_windows_jobs_pass_the_bench_gate(tmp_path, monkeypatch):
+    # The closed-form window ends hold the fingerprints that the scan recorded.
+    assert _bench_gate_failures(tmp_path, monkeypatch, "windows", 9) == []
 
 
 if __name__ == "__main__":

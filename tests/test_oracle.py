@@ -25,6 +25,8 @@ from wqed_mobile import (
     wavepacket_scattering_oracle,
     wrap,
 )
+from wqed_mobile import oracle
+from wqed_mobile.errors import SizeError
 from wqed_mobile.oracle import chebyshev_evolve_blocks
 from wqed_mobile.scattering import _scatter_arrays
 
@@ -59,6 +61,21 @@ def test_dense_static_extremal_eigenvalues():
     ref = math.sqrt(2.0 + math.sqrt(5.0))
     assert ev[-1] == pytest.approx(ref, abs=1e-3)
     assert ev[0] == pytest.approx(-ref, abs=1e-3)
+
+
+@pytest.mark.parametrize("solve", [dense_block_diagonalize, dense_block_eigenvalues])
+def test_dense_blocks_check_the_budget_before_building(solve, monkeypatch):
+    # Both dense entry points refuse an L whose eigensolver work exceeds the
+    # 2 GiB budget (6 (L+1)(L+2) doubles: about 2.9 GiB at L = 8000) before
+    # the matrix is built.
+    def build(params, K):
+        raise AssertionError("block built before the budget check")
+
+    monkeypatch.setattr(oracle, "block_hamiltonian", build)
+    with pytest.raises(SizeError, match="dense K-block work"):
+        solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=8000), 0.0)
+    with pytest.raises(AssertionError, match="budget check"):
+        solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=6000), 0.0)
 
 
 def test_chebyshev_matches_dense_evolution():
