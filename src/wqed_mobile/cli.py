@@ -8,8 +8,9 @@ version, and wall time.
 
 Exit codes: 0 success, 2 invalid parameters (message names the violated
 invariant), 3 numerical failure (band-edge singularity, missing bound
-state, non-convergence, overflow or a non-finite output value, memory
-budget); nothing is written unless every output value is finite.
+state, non-convergence, overflow, an invalid or non-finite value, a norm
+that drifts past NORM_TOL, memory budget); nothing is written unless every
+output value is finite.
 """
 
 from __future__ import annotations
@@ -199,11 +200,23 @@ def _time_grid(args) -> np.ndarray:
     return np.linspace(0.0, args.tmax, args.nt)
 
 
+#: Largest |norm - 1| an emission run may reach and still write its files.
+NORM_TOL = 1e-9
+
+
+def _check_norm(norms: np.ndarray) -> None:
+    drift = float(np.max(np.abs(norms - 1.0)))
+    if not drift <= NORM_TOL:  # also a NaN drift
+        raise NumericalFailure(f"the run loses its norm: max|norm - 1| = {drift:.3g} "
+                               f"> {NORM_TOL:g}")
+
+
 def _emit_fixed_k(args, params):
     times = _time_grid(args)
     if not times.size or times[-1] != args.tmax:
         raise ParameterError(f"--nt {args.nt} does not sample --tmax {args.tmax}")
     traj = evolve_fixed_K(params, args.K, times)
+    _check_norm(traj.norms())
     n_p, direction = photon_spectrum_and_directionality(traj, args.tmax)
     try:
         gamma = markov_rate(params, args.K)
@@ -235,6 +248,7 @@ def _emit_localized(args, params):
         if not np.any(np.abs(times - s) <= 1e-12 * max(1.0, s)):
             times = np.sort(np.append(times, s))
     run = evolve_localized(params, args.x0, times, snapshots)
+    _check_norm(run.total_norm())
     pe_total = run.pe_total()
     tables = {"_pe": (["t", "P_e_total"], [run.times, pe_total])}
     for s in snapshots:
@@ -264,7 +278,8 @@ def _writes(compute):
                              Omega=args.Omega, L=args.L)
         threads = resolve_threads(args.threads)  # a malformed WQED_THREADS exits 2 here
         t0 = time.perf_counter()
-        tables, fields = compute(args, params)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            tables, fields = compute(args, params)
         out = args.out if args.out else args.command
         for suffix, (header, columns) in tables.items():
             for name, column in zip(header, columns):
@@ -303,7 +318,7 @@ def selfcheck(args: argparse.Namespace) -> int:
     times = np.linspace(0.0, 120.0, 121)
     traj = evolve_fixed_K(mobile, 0.0, times)
     report("block norm conservation",
-           float(np.abs(traj.norms() - 1.0).max()) < 1e-9)
+           float(np.abs(traj.norms() - 1.0).max()) < NORM_TOL)
     rate = fit_exponential_rate(times, np.abs(traj.psi_e) ** 2, 10.0, 120.0)
     gamma = markov_rate(mobile, 0.0)
     report("Markov decay rate", abs(rate - gamma) / gamma < 0.05,
@@ -395,6 +410,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OverflowError as exc:
         print(f"error: numerical failure: overflow ({exc})", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:  # numpy's, under the errstate of _writes
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -33,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    BandEdgeSingularity,
     NotEmbedded,
     NumericalFailure,
     ParameterError,
@@ -46,6 +45,7 @@ from .model import (
     grid_add_index,
     momentum_grid,
     omega_tilde,
+    self_energy,
     wrap,
     z_of_K,
 )
@@ -501,21 +501,18 @@ def asymptotic_momenta(params: ModelParams, K: float) -> tuple[float, float] | N
 
 
 def markov_rate(params: ModelParams, K: float) -> float:
-    """Weak-coupling decay rate of |psi_eK|^2, given by the effective-band
-    density of states at the emitter energy:
+    """Weak-coupling decay rate of |psi_eK|^2, the golden-rule rate
 
-        Gamma_K = 2 Omega^2 / sqrt(4|z(K)|^2 - E_{K,Delta}^2).
+        Gamma_K = -2 Im Sigma_K(E_{K,Delta}) = 2 Omega^2 / sqrt(4|z(K)|^2 - E_{K,Delta}^2).
     """
     e = float(gap_energy(params, K))
     b = float(band_halfwidth(params, K))
-    if abs(e) == b:
-        raise BandEdgeSingularity(f"Markov rate diverges at the band edge |E| = {b!r}")
     if abs(e) > b:
         raise NotEmbedded(
             f"E_(K,Delta) = {e!r} lies outside the band (half-width {b!r}); "
             "the emitter does not decay"
         )
-    return 2.0 * params.Omega**2 / (math.sqrt(b - e) * math.sqrt(b + e))
+    return -2.0 * self_energy(params, K, e).sigma.imag
 
 
 def fit_exponential_rate(times: np.ndarray, values: np.ndarray,
@@ -546,7 +543,7 @@ class EmissionWindows:
     window detached from K = 0.  jc_minus / jc_plus are the exact critical
     emitter hoppings at which a window first opens as J' grows (endpoint
     collision of the embedding condition), and the *_approx fields the
-    small-J' closed forms sqrt(-Delta J - 2 J^2) and Delta/4 - J/2.
+    small-J' closed forms sqrt(-J (Delta + 2J)) and Delta/4 - J/2.
     """
 
     regime: str
@@ -558,29 +555,6 @@ class EmissionWindows:
     jc_plus_approx: float
     jc_minus_approx: float
     embedded_fraction: float
-
-
-def critical_jp_upper(J: float, delta: float) -> float:
-    """Exact J' above which an embedded window opens near K = 0 (Delta > 2J).
-
-    At K = 0 the condition Delta - 2J' <= 2(J + J') is exact and the margin
-    is monotone in cos K, so the window opens first at K = 0."""
-    return (delta - 2.0 * J) / 4.0 if delta >= 2.0 * J else math.nan
-
-
-def critical_jp_lower(J: float, delta: float) -> float:
-    """Exact J' above which an embedded window opens near K = +-pi/2
-    (Delta < -2J).
-
-    The embedding margin is maximal at cos K = -J'/(2J) where |z| = J, giving
-    the threshold sqrt(-J(Delta + 2J)); if that maximum leaves [-1, 1]
-    (J' > 2J) the margin is maximal at K = pi instead."""
-    if delta > -2.0 * J:
-        return math.nan
-    d2 = -J * (delta + 2.0 * J)
-    if d2 <= 4.0 * J * J:
-        return math.sqrt(d2)
-    return (2.0 * J - delta) / 4.0
 
 
 def classify_regime_and_windows(params: ModelParams) -> EmissionWindows:
@@ -618,18 +592,19 @@ def classify_regime_and_windows(params: ModelParams) -> EmissionWindows:
             windows = ((-hi, -lo), (lo, hi))
             w_minus = hi - lo
 
+    # As J' grows from 0, a window opens where the quadratic's maximum over c
+    # first reaches 0: for Delta >= 2J at K = 0, J' = (Delta - 2J)/4; for
+    # Delta <= -2J at J' = q, where the discriminant J s + J'^2 vanishes, while
+    # the vertex c = s/(2q) lies in [-1, 1] (q <= 2J), else at K = pi.
     return EmissionWindows(
         regime=regime,
         windows=windows,
         w_plus=w_plus,
         w_minus=w_minus,
-        jc_plus=critical_jp_upper(params.J, params.Delta),
-        jc_minus=critical_jp_lower(params.J, params.Delta),
-        jc_plus_approx=(params.Delta / 4.0 - params.J / 2.0),
-        jc_minus_approx=(
-            math.sqrt(-params.Delta * params.J - 2.0 * params.J**2)
-            if -params.Delta * params.J - 2.0 * params.J**2 >= 0.0 else math.nan
-        ),
+        jc_plus=(delta - 2.0 * J) / 4.0 if delta >= 2.0 * J else math.nan,
+        jc_minus=math.nan if s > 0.0 else q if q <= 2.0 * J else (2.0 * J - delta) / 4.0,
+        jc_plus_approx=delta / 4.0 - J / 2.0,
+        jc_minus_approx=q if s <= 0.0 else math.nan,
         embedded_fraction=fraction,
     )
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import cmath
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,14 +212,15 @@ def self_energy(params: ModelParams, K: float, E: float) -> SelfEnergyEval:
         raise BandEdgeSingularity(
             f"self-energy diverges at the band edge |E| = 2|z(K)| = {b!r}"
         )
-    om2 = params.Omega**2
     y_in, y_out = _poles(z, E, b)
+    root = math.sqrt(abs(delta)) * math.sqrt(abs(E) + b)  # sqrt|E^2 - 4|z|^2| > 0
+    om2 = params.Omega**2  # where it underflows, Omega / root is formed first
+    mag = om2 / root if om2 >= sys.float_info.min else params.Omega * (params.Omega / root)
     if delta > 0.0:
-        s = delta * (abs(E) + b)  # E^2 - 4|z|^2, cancellation-free
-        sigma = complex(math.copysign(om2 / math.sqrt(s), E))
-        dsigma = -om2 * abs(E) / s**1.5
+        sigma = complex(math.copysign(mag, E))
+        dsigma = -mag / root / root * abs(E)
     else:
-        sigma = -1j * om2 / math.sqrt(-delta * (abs(E) + b))
+        sigma = -1j * mag
         dsigma = math.nan
     return SelfEnergyEval(
         sigma=sigma, dsigma_dE=dsigma, y_in=y_in, y_out=y_out, band_halfwidth=b

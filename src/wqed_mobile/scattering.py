@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_memory
 from .model import (
     ModelParams,
     gap_energy,
@@ -168,6 +168,9 @@ def sweep_scattering(params: ModelParams, n_k: int, n_p: int) -> dict[str, np.nd
     """
     if n_k < 2 or n_p < 2:
         raise ParameterError(f"sweep grid sizes must be >= 2 (got {n_k} x {n_p})")
+    # the kernel's arrays peak at about 236 bytes a point (tracemalloc)
+    check_memory(n_k * n_p * 240, f"the scattering sweep on {n_k} x {n_p} points",
+                 "reduce nk or np")
     k = momentum_grid(n_k)
     p = momentum_grid(n_p)
     kk, pp = np.meshgrid(k, p, indexing="ij")

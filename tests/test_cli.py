@@ -10,13 +10,15 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wqed_mobile
+from wqed_mobile import scattering
 from wqed_mobile.cli import COMMANDS, main
 from wqed_mobile.dynamics import LocalizedRun
 
@@ -137,18 +139,30 @@ def test_emit_localized(tmp_path, monkeypatch):
 
 
 def test_emit_localized_at_astronomical_times_and_sites(tmp_path, monkeypatch):
-    # At t = 1e20, E t is far past double's resolution, yet P_e stays a
-    # probability; 10**400, beyond any float, is a site (that of 0 on L = 8).
+    # At t = 1e20, E t is far past double's resolution and the run loses its
+    # norm, so it exits 3 and writes nothing; 10**400, beyond any float, is a
+    # site (that of 0 on L = 8).
     monkeypatch.chdir(tmp_path)
-    assert main(["emit-localized", "--L", "8", "--nt", "3", "--tmax", "1e20"]) == 0
-    _, rows = _read_csv(tmp_path / "emit-localized_pe.csv")
-    assert all(0.0 <= float(r[1]) <= 1.0 + 1e-12 for r in rows)
+    assert main(["emit-localized", "--L", "8", "--nt", "3", "--tmax", "1e20"]) == 3
+    assert list(tmp_path.iterdir()) == []
     base = ["emit-localized", "--Jp", "0.5", "--Omega", "0.2", "--L", "8", "--nt", "3",
             "--tmax", "2"]
     assert main(base + ["--x0", str(10**400), "--out", "far"]) == 0
     assert main(base + ["--out", "near"]) == 0
     for suffix in ("_pe.csv", "_x_t2.csv"):
         assert (tmp_path / f"far{suffix}").read_bytes() == (tmp_path / f"near{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["emit-fixed-k", "--K", "0.5", "--Jp", "0.5", "--Omega", "0.2", "--L", "64",
+     "--tmax", "1e18", "--nt", "5"],  # P_e(tmax) + sum N_p = 1.24
+    ["emit-localized", "--L", "8", "--nt", "3", "--tmax", "1e12"],  # drift 1.4e-5
+])
+def test_emission_that_loses_its_norm_exit_3(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    assert "loses its norm: max|norm - 1|" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_emit_localized_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
@@ -171,6 +185,16 @@ def test_windows_command(tmp_path, monkeypatch):
     header, rows = _read_csv(tmp_path / "windows.csv")
     assert header == ["K_lo", "K_hi"]
     assert len(rows) == 1
+
+
+def test_windows_at_a_huge_scale(tmp_path, monkeypatch):
+    # J^2 would overflow at J = 1e200; the windows are those of J = J' = Delta = 1.
+    monkeypatch.chdir(tmp_path)
+    assert main(["windows", "--J", "1e200", "--Jp", "1e200", "--Delta", "1e200"]) == 0
+    meta = json.loads((tmp_path / "windows.json").read_text())
+    assert meta["w_plus"] == pytest.approx(2.0 * math.pi / 3.0, rel=1e-15)
+    assert meta["jc_plus_approx"] == pytest.approx(-2.5e199, rel=1e-15)
+    assert meta["jc_minus"] == meta["jc_minus_approx"] == "nan"
 
 
 def test_invalid_parameters_exit_2(tmp_path, monkeypatch, capsys):
@@ -277,8 +301,14 @@ def test_time_grid_errors_name_the_flag_exit_2(tmp_path, monkeypatch, capsys, ar
     (["emit-localized", "--L", "12000", "--nt", "51"], "K-block work needs"),
     (["bound-wavefunction", "--K", "0", "--xmax", "100000000000"],
      "the wavefunction on 200000000001 sites needs"),
+    (["map-transmission", "--nk", "100000", "--np", "100000"],
+     "the scattering sweep on 100000 x 100000 points needs"),
 ])
 def test_over_memory_budget_exit_3(tmp_path, monkeypatch, capsys, argv, work):
+    def grid(n):  # the sweep's grid, which must not be built
+        raise AssertionError("grid built before the budget check")
+
+    monkeypatch.setattr(scattering, "momentum_grid", grid)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 3
     err = capsys.readouterr().err
@@ -424,13 +454,17 @@ def _reject_constant(name):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(argv=_fuzz_argv())
+@example(argv=["scatter", "--ki", "0.5", "--pi", "1.0", "--pi", "0.0"])  # warns: degenerate
 def test_cli_fuzz_exit_codes_and_finite_output(argv):
     # Any argv exits 0, 2 or 3 without a traceback, and an exit-0 run writes
-    # only finite numbers.
+    # only finite numbers.  A UserWarning of main's is recorded, whichever
+    # examples are drawn; any other warning still fails the test.
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings(record=True):
+        warnings.simplefilter("always", UserWarning)
         os.chdir(tmp)
         try:
             rc = main(argv)

@@ -24,17 +24,13 @@ from wqed_mobile import (
     omega_tilde,
     photon_spectrum_and_directionality,
     position_observables,
+    self_energy,
     solve_bound_state,
     spectrum_peaks,
     wavefront_position,
 )
 from wqed_mobile import dynamics
-from wqed_mobile.dynamics import (
-    _chunk_modes,
-    block_hamiltonian,
-    critical_jp_lower,
-    critical_jp_upper,
-)
+from wqed_mobile.dynamics import _chunk_modes, block_hamiltonian
 from wqed_mobile.oracle import dense_block_diagonalize
 
 FIG_EMISSION = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=400)
@@ -159,6 +155,22 @@ def test_markov_rate_values():
     assert markov_rate(tiny, 0.3) == pytest.approx(1e280, rel=1e-12)
 
 
+@pytest.mark.parametrize("E", [0.0, 0.7, -2.5, 3.0, -4.0])
+def test_self_energy_and_markov_rate_scale_with_the_energies(E):
+    # Sigma and Gamma are energies and dSigma/dE a number, so scaling J, J',
+    # Delta, Omega and E by 1e-280 scales Sigma and Gamma by 1e-280, although
+    # E^2 - 4|z|^2 and Omega^2 underflow there.  The band half-width at K = 0.4
+    # is 2.95: E = 3 and -4 lie outside it, the rest and E_{K,Delta} inside.
+    scale, K = 1e-280, 0.4
+    ref = ModelParams(J=1.0, Jp=0.5, Delta=0.3, Omega=0.2, L=16)
+    tiny = ModelParams(J=scale, Jp=0.5 * scale, Delta=0.3 * scale, Omega=0.2 * scale, L=16)
+    a, b = self_energy(ref, K, E), self_energy(tiny, K, E * scale)
+    assert a.sigma != 0.0
+    assert abs(b.sigma / scale - a.sigma) <= 1e-14 * abs(a.sigma)
+    assert np.allclose(b.dsigma_dE, a.dsigma_dE, rtol=1e-14, atol=0.0, equal_nan=True)
+    assert markov_rate(tiny, K) / scale == pytest.approx(markov_rate(ref, K), rel=1e-14)
+
+
 def test_markov_rate_against_decay_fit():
     # Independent check of the closed form by exponential fits of |psi_e|^2;
     # the window ends before the emitted photon wraps the ring (t ~ L / v).
@@ -274,21 +286,28 @@ def test_windows_trivial_regimes():
     assert none_win.embedded_fraction == 0.0
 
 
+def _thresholds(delta: float):
+    """(jc_minus, jc_plus) at J = 1: they do not depend on J'."""
+    win = classify_regime_and_windows(ModelParams(J=1.0, Jp=0.0, Delta=delta))
+    return win.jc_minus, win.jc_plus
+
+
 def test_critical_couplings_edges_and_numeric_oracle():
     # Delta = -2J sits exactly at the regime boundary: zero threshold.
-    assert critical_jp_lower(1.0, -2.0) == 0.0
-    assert critical_jp_upper(1.0, 2.0) == 0.0
-    assert math.isnan(critical_jp_lower(1.0, -1.9))
-    assert math.isnan(critical_jp_upper(1.0, 1.9))
+    assert _thresholds(-2.0)[0] == 0.0
+    assert _thresholds(2.0)[1] == 0.0
+    assert math.isnan(_thresholds(-1.9)[0])
+    assert math.isnan(_thresholds(1.9)[1])
 
     # brute-force bisection on "does a window exist" reproduces the closed form
     def window_exists(jp: float, delta: float) -> bool:
         params = ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=0.1, L=64)
         return classify_regime_and_windows(params).regime != "none"
 
-    for delta, jc in ((-2.1, critical_jp_lower(1.0, -2.1)),
-                      (3.0, critical_jp_upper(1.0, 3.0))):
-        lo, hi = 1e-4, 1.5
+    # at Delta = -7 the vertex leaves [-1, 1]: the window opens at K = pi
+    for delta, jc in ((-2.1, _thresholds(-2.1)[0]), (3.0, _thresholds(3.0)[1]),
+                      (-7.0, _thresholds(-7.0)[0])):
+        lo, hi = 1e-4, 3.0
         assert not window_exists(lo, delta) and window_exists(hi, delta)
         for _ in range(40):
             mid = 0.5 * (lo + hi)
@@ -353,7 +372,7 @@ def test_windows_narrow_and_at_an_underflowing_coupling():
     # 1e-9 above jc_minus the windows are ~1.1e-4 wide, far below a scan step
     # pi/4000: to first order in dJ' the roots sit -+ sqrt(2 jc dJ') / jc
     # about cos K* = (Delta + 2) / (2 jc) = -0.354.
-    jc, d = critical_jp_lower(1.0, -2.5), 1e-9
+    jc, d = _thresholds(-2.5)[0], 1e-9
     win = classify_regime_and_windows(ModelParams(J=1.0, Jp=jc + d, Delta=-2.5))
     assert win.regime == "selective" and len(win.windows) == 2
     c_star = -0.5 / (2.0 * jc)
@@ -370,18 +389,23 @@ def test_windows_narrow_and_at_an_underflowing_coupling():
         assert win.windows == ((-math.pi, math.pi),) and win.embedded_fraction == 1.0
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-200, 2.0**-600, 1e100, 1e150])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 2.0**-600, 1e100, 1e150, 1e200])
 def test_windows_are_scale_free(scale):
     # E_{K,Delta} and 2|z(K)| are linear in (J, J', Delta), so the windows do
-    # not depend on the scale, also where a product of two inputs, such as
-    # J (Delta + 2J) at 1e-200, would under- or overflow.
-    for jp, delta in ((1.0, 1.0), (0.5, 3.0), (1.2, -3.0), (0.5, -2.0), (0.3, 2.5)):
+    # not depend on the scale and the critical couplings scale with it, also
+    # where a product of two inputs, such as J (Delta + 2J) at 1e-200 or J^2
+    # at 1e200, would under- or overflow.
+    for jp, delta in ((1.0, 1.0), (0.5, 3.0), (1.2, -3.0), (0.5, -2.0), (0.3, 2.5),
+                      (1.0, -2.1), (1.0, -7.0)):
         ref = classify_regime_and_windows(ModelParams(J=1.0, Jp=jp, Delta=delta))
         win = classify_regime_and_windows(
             ModelParams(J=scale, Jp=jp * scale, Delta=delta * scale))
         assert win.regime == ref.regime
         assert np.allclose(win.windows, ref.windows, rtol=1e-14, atol=0.0)
         assert win.embedded_fraction == pytest.approx(ref.embedded_fraction, rel=1e-14)
+        for name in ("jc_plus", "jc_minus", "jc_plus_approx", "jc_minus_approx"):
+            assert np.allclose(getattr(win, name) / scale, getattr(ref, name),
+                               rtol=1e-14, atol=0.0, equal_nan=True), name
     win = classify_regime_and_windows(ModelParams(J=scale, Jp=scale, Delta=scale))
     assert win.w_plus == pytest.approx(2.0 * math.pi / 3.0, rel=1e-15)  # cos K = -1/2
 

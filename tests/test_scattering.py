@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from wqed_mobile import (
     ModelParams,
     ParameterError,
+    SizeError,
     momentum_grid,
     omega_tilde,
     scatter,
@@ -20,6 +21,7 @@ from wqed_mobile import (
     xi_emitter,
     z_of_K,
 )
+from wqed_mobile import scattering
 
 
 def _complex_cols(table, name):
@@ -175,6 +177,20 @@ def test_sweep_rejects_small_grid():
     params = ModelParams(J=1.0, Jp=0.1, Delta=0.0, Omega=0.5, L=8)
     with pytest.raises(ParameterError):
         sweep_scattering(params, 1, 41)
+
+
+def test_sweep_checks_the_budget_before_building_its_grid(monkeypatch):
+    # 10^10 points at about 240 bytes each exceed the 2 GiB budget; the grid
+    # builder is replaced so that nothing is allocated if the check came late.
+    def grid(n):
+        raise AssertionError("grid built before the budget check")
+
+    monkeypatch.setattr(scattering, "momentum_grid", grid)
+    params = ModelParams(J=1.0, Jp=0.1, Delta=0.0, Omega=0.5, L=8)
+    with pytest.raises(SizeError, match="100000 x 100000 points"):
+        sweep_scattering(params, 10**5, 10**5)
+    with pytest.raises(AssertionError, match="budget check"):
+        sweep_scattering(params, 2000, 2000)
 
 
 def _check_invariants(params, k_i, p_i, t, r, p_f2, k_f2):
