@@ -29,7 +29,8 @@ class NumericalFailure(RuntimeError):
 
 
 class SizeError(RuntimeError):
-    """A dense linear-algebra request exceeds the configured memory budget."""
+    """The work of a request exceeds the memory budget: any work that
+    check_memory charges (dense blocks, sweeps, bound-state solves, runs)."""
 
 
 class OracleInvalid(UserWarning):

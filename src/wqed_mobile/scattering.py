@@ -51,6 +51,13 @@ DEGENERACY_TOL = 1e-12
 #: replaced by the exact second root.
 BRANCH_TOL = 1e-10
 
+#: Points of one kernel call in a sweep, and the bytes a point of the table
+#: (11 doubles and a bool) and of a chunk in flight: the kernel's arrays and
+#: the previous chunk's output (tracemalloc peak).
+_CHUNK_POINTS = 8192
+_TABLE_BYTES = 89
+_KERNEL_BYTES = 320
+
 #: Column order of the sweep table (fixed external schema).
 SWEEP_COLUMNS = (
     "k_i", "p_i", "t_re", "t_im", "r_re", "r_im",
@@ -109,10 +116,6 @@ def _scatter_arrays(params: ModelParams, k_i: np.ndarray, p_i: np.ndarray):
     p_f2 = sign * np.arccos(arg)
     res = np.abs(omega_tilde(params, K, p_f2) - energy)
     flip = res > BRANCH_TOL * np.maximum(1.0, np.abs(energy))
-    if np.any(flip & ~degenerate):
-        n_bad = int(np.count_nonzero(flip & ~degenerate))
-        log.warning("arccos sign prefactor failed on-shell check at %d point(s); "
-                    "selected the exact second root", n_bad)
     exact = degenerate | flip
     p_f2 = wrap(p_f2)
     p_f2[exact] = wrap(-p_i[exact] - 2.0 * np.angle(z[exact]))
@@ -133,13 +136,21 @@ def _scatter_arrays(params: ModelParams, k_i: np.ndarray, p_i: np.ndarray):
         "degenerate": degenerate,
         "detuning": detuning,
         "gamma": gamma,
+        "flipped": flip & ~degenerate,
     }
+
+
+def _log_flips(n_bad: int) -> None:
+    if n_bad:
+        log.warning("arccos sign prefactor failed on-shell check at %d point(s); "
+                    "selected the exact second root", n_bad)
 
 
 def scatter(params: ModelParams, k_i: float, p_i: float) -> ScatterOutcome:
     """Scattering amplitudes for a single initial pair (k_i, p_i); warns at a
     velocity degeneracy, where it returns the limit t = 0, r = -1."""
     out = _scatter_arrays(params, np.array([k_i]), np.array([p_i]))
+    _log_flips(int(out["flipped"][0]))
     degenerate = bool(out["degenerate"][0])
     if degenerate:
         warnings.warn(
@@ -164,15 +175,25 @@ def sweep_scattering(params: ModelParams, n_k: int, n_p: int) -> dict[str, np.nd
     Grid points follow the momentum_grid convention (-pi + 2*pi*j/n), which
     is closed under negation modulo 2*pi.  Degenerate points are flagged in
     the `degenerate` column, never dropped, so the table stays rectangular.
-    Returns a dict of flat arrays keyed by SWEEP_COLUMNS.
+    Returns a dict of flat arrays keyed by SWEEP_COLUMNS.  The kernel runs
+    over chunks of _CHUNK_POINTS points written into the preallocated table;
+    it is elementwise, so the columns are those of one call on the grid.
     """
     if n_k < 2 or n_p < 2:
         raise ParameterError(f"sweep grid sizes must be >= 2 (got {n_k} x {n_p})")
-    # the kernel's arrays peak at about 236 bytes a point (tracemalloc)
-    check_memory(n_k * n_p * 240, f"the scattering sweep on {n_k} x {n_p} points",
-                 "reduce nk or np")
-    k = momentum_grid(n_k)
-    p = momentum_grid(n_p)
-    kk, pp = np.meshgrid(k, p, indexing="ij")
-    out = _scatter_arrays(params, kk.ravel(), pp.ravel())
-    return {name: out[name] for name in SWEEP_COLUMNS}
+    n = n_k * n_p
+    check_memory(n * _TABLE_BYTES + _CHUNK_POINTS * _KERNEL_BYTES,
+                 f"the scattering sweep on {n_k} x {n_p} points", "reduce nk or np")
+    table = {"k_i": np.repeat(momentum_grid(n_k), n_p),
+             "p_i": np.tile(momentum_grid(n_p), n_k)}
+    table.update((name, np.empty(n, dtype=bool if name == "degenerate" else float))
+                 for name in SWEEP_COLUMNS[2:])
+    n_flipped = 0
+    for s in range(0, n, _CHUNK_POINTS):
+        rows = slice(s, s + _CHUNK_POINTS)
+        out = _scatter_arrays(params, table["k_i"][rows], table["p_i"][rows])
+        for name in SWEEP_COLUMNS[2:]:
+            table[name][rows] = out[name]
+        n_flipped += int(np.count_nonzero(out["flipped"]))
+    _log_flips(n_flipped)
+    return table

@@ -377,8 +377,8 @@ def test_every_command_has_help(capsys):
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):
-    # Importing the package and solving bound states load no scipy; only the
-    # wavepacket oracle needs it.
+    # Importing the package and running subcommands load no scipy; only the
+    # two oracles import it, when called.
     src = str(Path(wqed_mobile.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys; from wqed_mobile.cli import main; "

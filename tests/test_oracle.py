@@ -7,7 +7,11 @@ which must agree once the packets are narrow.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +80,29 @@ def test_dense_blocks_check_the_budget_before_building(solve, monkeypatch):
         solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=8000), 0.0)
     with pytest.raises(AssertionError, match="budget check"):
         solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=6000), 0.0)
+
+
+def test_dense_solve_runs_in_place(tmp_path):
+    # syevd overwrites the block with its eigenvectors: at L = 2000 the call
+    # raises the peak RSS by about 3.25 blocks of (L+1)^2 doubles; 4.2 fails
+    # a solve that copies its input and writes a separate output (numpy's
+    # eigh, about 5).  A fresh process sees the rise alone; the warm-up loads
+    # scipy and LAPACK.
+    code = (
+        "import resource, sys\n"
+        "from wqed_mobile import ModelParams, dense_block_diagonalize\n"
+        "def solve(L):\n"
+        "    dense_block_diagonalize(ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2,"
+        " L=L), 0.3)\n"
+        "solve(8)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "solve(2000)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, cwd=tmp_path).stdout
+    rise_bytes = 1024 * int(out.split()[-1])  # ru_maxrss is in KiB on Linux
+    assert rise_bytes < 4.2 * 8 * 2001**2
 
 
 def test_chebyshev_matches_dense_evolution():

@@ -1,6 +1,8 @@
 """Scattering-amplitude tests: exact sum rules, conservation laws, limits."""
 
+import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -180,8 +182,10 @@ def test_sweep_rejects_small_grid():
 
 
 def test_sweep_checks_the_budget_before_building_its_grid(monkeypatch):
-    # 10^10 points at about 240 bytes each exceed the 2 GiB budget; the grid
-    # builder is replaced so that nothing is allocated if the check came late.
+    # The sweep is charged its 89-byte-a-point table and one chunk of kernel
+    # work: 10^10 points exceed the 2 GiB budget, 4 * 10^6 fit in it.  The
+    # grid builder is replaced so that nothing is allocated if the check came
+    # late.
     def grid(n):
         raise AssertionError("grid built before the budget check")
 
@@ -191,6 +195,42 @@ def test_sweep_checks_the_budget_before_building_its_grid(monkeypatch):
         sweep_scattering(params, 10**5, 10**5)
     with pytest.raises(AssertionError, match="budget check"):
         sweep_scattering(params, 2000, 2000)
+
+
+@pytest.mark.parametrize("n_k, n_p", [(256, 204), (257, 203), (40, 30)])
+def test_chunked_sweep_equals_one_kernel_call(n_k, n_p, caplog):
+    # 256 x 204 and 257 x 203 span seven chunks, the last one ragged, and 40 x 30
+    # fits in one.  At J' = J the arccos branch flips (in two chunks of the
+    # first grid); the sweep logs one record with the total count.
+    params = ModelParams(J=1.0, Jp=1.0, Delta=0.0, Omega=1.0, L=8)
+    kk, pp = np.meshgrid(momentum_grid(n_k), momentum_grid(n_p), indexing="ij")
+    ref = scattering._scatter_arrays(params, kk.ravel(), pp.ravel())
+    n_flipped = int(np.count_nonzero(ref["flipped"]))
+    assert n_flipped > 0
+    with caplog.at_level(logging.WARNING, logger="wqed_mobile.scattering"):
+        table = sweep_scattering(params, n_k, n_p)
+    assert list(table) == list(scattering.SWEEP_COLUMNS)
+    for name, column in table.items():
+        assert column.dtype == ref[name].dtype, name
+        assert np.array_equal(column, ref[name]), name
+    flips = [r for r in caplog.records if "on-shell check" in r.getMessage()]
+    assert len(flips) == 1
+    assert f"at {n_flipped} point(s)" in flips[0].getMessage()
+
+
+def test_sweep_holds_little_more_than_its_table():
+    # The kernel's temporaries live for one chunk, so the sweep's peak is its
+    # table plus a few MB (1.12 times the table); 1.5 fails a kernel call on
+    # the whole grid, whose temporaries take 2.65 times the table.
+    params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.5, L=8)
+    sweep_scattering(params, 11, 11)
+    tracemalloc.start()
+    try:
+        table = sweep_scattering(params, 501, 501)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sum(column.nbytes for column in table.values())
 
 
 def _check_invariants(params, k_i, p_i, t, r, p_f2, k_f2):
