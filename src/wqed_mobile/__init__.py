@@ -63,6 +63,5 @@ from .oracle import (
     BlockSpectrum,
     WavepacketResult,
     dense_block_diagonalize,
-    dense_block_eigenvalues,
     wavepacket_scattering_oracle,
 )

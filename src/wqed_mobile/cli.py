@@ -9,8 +9,8 @@ version, and wall time.
 Exit codes: 0 success, 2 invalid parameters (message names the violated
 invariant), 3 numerical failure (band-edge singularity, missing bound
 state, non-convergence, overflow, an invalid or non-finite value, a norm
-that drifts past NORM_TOL, memory budget); nothing is written unless every
-output value is finite.
+that drifts past NORM_TOL, phases resolved only to more than PHASE_TOL,
+memory budget); nothing is written unless every output value is finite.
 """
 
 from __future__ import annotations
@@ -202,13 +202,24 @@ def _time_grid(args) -> np.ndarray:
 
 #: Largest |norm - 1| an emission run may reach and still write its files.
 NORM_TOL = 1e-9
+#: Largest rounding, in radians, that an emission run's phases E_n t may carry.
+PHASE_TOL = 1e-9
 
 
-def _check_norm(norms: np.ndarray) -> None:
+def _check_emission(norms: np.ndarray, params: ModelParams, t_max: float) -> None:
+    """The norm, then the phases: each E_n t carries the rounding of its long-double
+    product, up to max|E_n| t u with u long double's unit roundoff (2^-64 on x86, 2^-53
+    where it is a double), and max|E_n| <= max(|Delta| + 2J', 2J + 2J') + Omega."""
     drift = float(np.max(np.abs(norms - 1.0)))
     if not drift <= NORM_TOL:  # also a NaN drift
         raise NumericalFailure(f"the run loses its norm: max|norm - 1| = {drift:.3g} "
                                f"> {NORM_TOL:g}")
+    e_max = max(abs(params.Delta) + 2 * params.Jp, 2 * (params.J + params.Jp)) + params.Omega
+    error = e_max * t_max * float(np.finfo(np.longdouble).eps) / 2
+    if error > PHASE_TOL:
+        raise NumericalFailure(f"the phases exp(-iEt) are resolved only to max|E| t u = "
+                               f"{error:.3g} rad > {PHASE_TOL:g} (phase resolution); "
+                               "reduce --tmax")
 
 
 def _emit_fixed_k(args, params):
@@ -216,7 +227,7 @@ def _emit_fixed_k(args, params):
     if not times.size or times[-1] != args.tmax:
         raise ParameterError(f"--nt {args.nt} does not sample --tmax {args.tmax}")
     traj = evolve_fixed_K(params, args.K, times)
-    _check_norm(traj.norms())
+    _check_emission(traj.norms(), params, times[-1])
     n_p, direction = photon_spectrum_and_directionality(traj, args.tmax)
     try:
         gamma = markov_rate(params, args.K)
@@ -248,7 +259,7 @@ def _emit_localized(args, params):
         if not np.any(np.abs(times - s) <= 1e-12 * max(1.0, s)):
             times = np.sort(np.append(times, s))
     run = evolve_localized(params, args.x0, times, snapshots)
-    _check_norm(run.total_norm())
+    _check_emission(run.total_norm(), params, run.times[-1])
     pe_total = run.pe_total()
     tables = {"_pe": (["t", "P_e_total"], [run.times, pe_total])}
     for s in snapshots:

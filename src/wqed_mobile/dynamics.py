@@ -9,17 +9,19 @@ the roots of the finite-L secular equation, one per interval between the
 sorted poles (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1266 (1994)),
 whose sum over the even ring has a closed form, the finite-ring lattice
 Green's function (Economou, Green's Functions in Quantum Physics).  So the
-eigenvalues cost O(L) per block, and only the stored 1 / (E_n - pole) O(L^2).
-Every block starts from the excited emitter with the field empty; psi_e's
-phases exp(-iEt) are stepped by exp(-iE dt) over a recurring exact dt.
+eigenvalues cost O(L) per block, and only phi's product with the O(L^2)
+matrix 1 / (E_n - pole), which is formed a column panel at a time in one
+reused buffer of fixed size.  Every block starts from the excited emitter
+with the field empty; psi_e's phases exp(-iEt) are stepped by exp(-iE dt)
+over a recurring exact dt, and phi's take the same long-double-corrected
+rule at its snapshots.
 
 An emitter localized at site x0 is the uniform superposition
 c_K = e^{i K x0} / sqrt(L) of the blocks' excited states; position-space
 observables are assembled from the per-block trajectories with discrete
 Fourier transforms on the (L-even, hence closed) momentum grid.  Block -K
 is block K with p -> -p, so such a run solves L/2 + 1 blocks (one at J' = 0):
-their roots together, about 4096 at a time, and each 1 / (E_n - pole) in one
-reused buffer.
+their roots together, about 4096 at a time.
 """
 
 from __future__ import annotations
@@ -88,9 +90,10 @@ def _time_index(times: np.ndarray, t: float, what: str = "sampled times") -> int
 
 def _check_block_budget(L: int, n_blocks: int, n_times: int, n_snapshots: int):
     # A chunk's ~900 doubles a root (~64 arrays, 8 step factors, 64 rows of phases), the
-    # reused inverse and ~400 doubles a row BLAS packs, one block's snapshot phases, all output.
+    # panel buffer, ~400 doubles a row BLAS packs, one block's snapshot phases and their
+    # long-double rounding (~14 doubles each), all output.
     check_memory(8 * 900 * min(n_blocks, max(1, _CHUNK_ROOTS // (L + 1))) * (L + 1)
-                 + 8 * (L + 1) * (L + 400 + 6 * n_snapshots)
+                 + _PANEL_BYTES + 8 * (L + 1) * (400 + 14 * n_snapshots)
                  + 16 * n_blocks * (n_times + n_snapshots * L),
                  "K-block work", "reduce L, the sample count or the snapshots")
 
@@ -110,6 +113,7 @@ class KBlockTrajectory:
 
 _EPS = np.finfo(float).eps
 _CHUNK_ROOTS = 4096  # roots per batched secular solve: whole blocks, at least one
+_PANEL_BYTES = 1 << 21  # the reused buffer of a column panel of 1 / (E_n - pole)
 
 
 @dataclass(frozen=True)
@@ -121,9 +125,11 @@ class _BlockModes:
     dark states at the group's pole.  When the coupling rounds to nothing
     every group is dark.  The bright groups and the emitter span the
     eigenstates n, with emitter amplitude sqrt(w_n) and photon amplitude
-    g sqrt(w_n) / (E_n - pole) on every member of a bright group; `inverse`
-    holds 1 / (E_n - pole) over (state, bright group).  Dark states have no
-    emitter amplitude, so the excited emitter never populates them.
+    g sqrt(w_n) / (E_n - pole) on every member of a bright group.  Over
+    (state n, bright group j), E_n - pole_j is (D_o[n] - D[j]) + tau[n],
+    except at the entries `near` (rows, columns, values; in column order),
+    which exact angles resolve.  Dark states have no emitter amplitude, so
+    the excited emitter never populates them.
     """
 
     coupling: float
@@ -132,7 +138,10 @@ class _BlockModes:
     bright: np.ndarray
     energy: np.ndarray
     weight: np.ndarray
-    inverse: np.ndarray
+    D_o: np.ndarray
+    D: np.ndarray
+    tau: np.ndarray
+    near: tuple
 
 
 class _Ring(NamedTuple):
@@ -213,10 +222,9 @@ def _ring_sum_below(b, L: int, sin2, kappa):
     return S, (dF + S * 2 * b * np.cosh(kappa)) / s, s
 
 
-def _chunk_modes(params: ModelParams, Ks, buffer: np.ndarray | None = None):
+def _chunk_modes(params: ModelParams, Ks):
     """The _BlockModes of each K block in turn, without forming the matrix, their
-    secular roots solved in one batch.  Each `inverse` is written into `buffer`
-    (L (L+1) doubles), which the next block overwrites; by default each gets its own."""
+    secular roots solved in one batch."""
     L, g = params.L, params.Omega / math.sqrt(params.L)
     tol = 32 * _EPS * (params.J + params.Jp)  # exact degeneracies round apart by ~10 eps
     blocks = []
@@ -227,24 +235,26 @@ def _chunk_modes(params: ModelParams, Ks, buffer: np.ndarray | None = None):
         bright = np.full(size.size, g * math.sqrt(size.max()) > tol)
         blocks.append((pole, bright, (ring, pole[bright], size[bright].astype(float),
                                       float(gap_energy(params, K)))))
-    solved = _secular_roots([h for _, _, h in blocks if h[1].size >= 2], L, g * g, buffer)
+    solved = _secular_roots([h for _, _, h in blocks if h[1].size >= 2], L, g * g)
+    no_near = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)
     for pole, bright, (ring, P, M, a) in blocks:
         if P.size >= 2:
-            energy, weight, inverse = next(solved)
+            roots = next(solved)
         elif P.size == 0:  # no bright pole
-            energy, weight, inverse = np.array([a]), np.ones(1), np.empty((1, 0))
-        else:  # a band narrower than rounding: one pole
+            roots = np.array([a]), np.ones(1), np.zeros(1), np.empty(0), np.zeros(1), no_near
+        else:  # a band narrower than rounding: one pole, E - P = tau
             d, s2 = P[0] - a, g * g * M[0]
             t1 = -0.5 * (d + math.copysign(math.hypot(d, 2 * math.sqrt(s2)), d))
             tau = np.sort([t1, -s2 / t1])
-            energy, weight, inverse = P[0] + tau, tau * tau / (tau * tau + s2), 1 / tau[:, None]
-        yield _BlockModes(g, ring.group, pole, bright, energy, weight, inverse)
+            roots = (P[0] + tau, tau * tau / (tau * tau + s2), np.zeros(2), np.zeros(1),
+                     tau, no_near)
+        yield _BlockModes(g, ring.group, pole, bright, *roots)
 
 
-def _secular_roots(blocks, L: int, g2: float, buffer: np.ndarray | None = None):
-    """Eigenvalues E_n, emitter weights w_n and 1 / (E_n - P) of the arrowhead
-    matrices (ring, P, M, a) with emitter level a and nb >= 2 poles P of
-    multiplicity M, block by block; 1 / (E_n - P) goes into `buffer` if given.
+def _secular_roots(blocks, L: int, g2: float):
+    """Eigenvalues E_n, emitter weights w_n and the terms D_o, D, tau, near of
+    E_n - P (see _BlockModes) of the arrowhead matrices (ring, P, M, a) with
+    emitter level a and nb >= 2 poles P of multiplicity M, block by block.
 
     The n-th root of h(E) = g2 sum_j M_j / (E - P_j) - (E - a) lies in the
     n-th interval of the sorted poles, the first below and the last above
@@ -254,7 +264,7 @@ def _secular_roots(blocks, L: int, g2: float, buffer: np.ndarray | None = None):
     the root is held as x = L (alpha - alpha_o) / 2 about it (below the band
     as -kappa), so that E - P_j = (P_o - P_j) + tau with
     tau = 4b sin(alpha_o + delta/2) sin(delta/2) keeps its relative accuracy.
-    Weights are 1 / (-dh/dE), for the outer two from their inverse rows.  All
+    Weights are 1 / (-dh/dE), for the outer two from their rows of 1 / (E_n - P).  All
     roots converge together, each a row with its block's b, sin2, edge, a, c_ref.
     """
     Om2, nb = g2 * L, np.array([P.size for _, P, _, _ in blocks])
@@ -328,22 +338,37 @@ def _secular_roots(blocks, L: int, g2: float, buffer: np.ndarray | None = None):
     tau = m * np.where(band, 4 * b * np.sin((2 * X_o + t) / L) * np.sin(t / L),
                        -4 * b * np.sinh(0.5 * t) ** 2 - edge)
     energy, D_o = P[off + o] + tau, D[off + o]
-    for (_, _, M, _), p, r0, r1 in zip(blocks, first, start, start + nb + 1):
-        rows, size = slice(r0, r1), M.size * (M.size + 1)
-        inverse = (np.empty(size) if buffer is None else buffer[:size]).reshape(M.size + 1, -1)
-        np.subtract.outer(D_o[rows], D[p:p + M.size], out=inverse)
-        inverse += tau[rows, None]
-        # The origin's neighbours from angles, as their rounded D may not resolve them.
-        for j in (-1, 1):
-            r = r0 + np.flatnonzero((k[rows] + j >= 0) & (k[rows] + j < M.size))
-            dx = t[r] + (gap[p + k[r]] if j < 0 else -gap[p + k[r] + 1])  # from the neighbour
-            inverse[r - r0, o[r] + m[r].astype(int) * j] = m[r] * np.where(
-                band[r], 4 * b[r] * np.sin((2 * (X_o[r] + t[r]) - dx) / L) * np.sin(dx / L),
-                -4 * b[r] * (np.sinh(0.5 * t[r]) ** 2 + np.sin(X[p + k[r] + j] / L) ** 2))
-        np.reciprocal(inverse, out=inverse)
-        outer = inverse[[0, -1]]
-        weight[[r0, r1 - 1]] = 1 / (1 + g2 * (outer * outer @ M))
-        yield energy[rows], weight[rows], inverse
+    # The origin's neighbours from angles, as their rounded D may not resolve them:
+    # E_n - P at (root, pole of the chunk), in pole order and so block by block.
+    near = []
+    for j in (-1, 1):
+        r = np.flatnonzero((k + j >= 0) & (k + j < nbr))
+        dx = t[r] + (gap[off[r] + k[r]] if j < 0 else -gap[off[r] + k[r] + 1])  # from the neighbour
+        near.append((r, off[r] + o[r] + m[r].astype(int) * j, m[r] * np.where(
+            band[r], 4 * b[r] * np.sin((2 * (X_o[r] + t[r]) - dx) / L) * np.sin(dx / L),
+            -4 * b[r] * (np.sinh(0.5 * t[r]) ** 2 + np.sin(X[off[r] + k[r] + j] / L) ** 2))))
+    row, col, val = (np.concatenate(v) for v in zip(*near))
+    order = np.argsort(col, kind="stable")
+    row, col, val = row[order], col[order], val[order]
+    edge = np.isin(row, np.concatenate((start, start + nb)))  # a block's first or last row
+    cut = np.searchsorted(col, np.append(first, nb.sum()))
+    for (_, _, M, _), p, r0, r1, c0, c1 in zip(blocks, first, start, start + nb + 1, cut, cut[1:]):
+        rows, ends, D_b = slice(r0, r1), [r0, r1 - 1], D[p:p + M.size]
+        r, c, v, e = row[c0:c1] - r0, col[c0:c1] - p, val[c0:c1], edge[c0:c1]
+        # The outer two rows of 1 / (E_n - P) (rows 0 and M.size) for their weights.
+        outer = _invert(np.empty((2, M.size)), D_o[ends], D_b, tau[ends],
+                        (r[e] // M.size, c[e], v[e]))
+        weight[ends] = 1 / (1 + g2 * (outer * outer @ M))
+        yield energy[rows], weight[rows], D_o[rows], D_b, tau[rows], (r, c, v)
+
+
+def _invert(out: np.ndarray, D_o, D, tau, near) -> np.ndarray:
+    """out = 1 / ((D_o - D) + tau) over (D_o, D), but 1 / value at the entries of
+    near = (rows, columns, values)."""
+    np.subtract.outer(D_o, D, out=out)
+    out += tau[:, None]
+    out[near[0], near[1]] = near[2]
+    return np.reciprocal(out, out=out)
 
 
 def _iterate(evaluate, t, lo, hi, side, first):
@@ -384,13 +409,30 @@ def _iterate(evaluate, t, lo, hi, side, first):
     raise NumericalFailure(f"secular equation: {rows.size} root(s) did not converge")
 
 
-def _phi(modes: _BlockModes, snapshots: np.ndarray) -> np.ndarray:
-    """phi (n_snap, L) from the excited emitter, whose overlap with eigenstate n is sqrt(w_n)."""
-    phase = _phases(modes.energy, snapshots)
+def _inverse_panels(modes: _BlockModes, buffer: np.ndarray):
+    """1 / (E_n - P_j) over (state n, bright group j) as column panels (j0, panel),
+    as many columns at a time as `buffer` holds; the next panel overwrites it."""
+    row, col, val = modes.near
+    width = max(1, buffer.size // modes.tau.size)
+    for j0 in range(0, modes.D.size, width):
+        D = modes.D[j0:j0 + width]
+        a, b = np.searchsorted(col, (j0, j0 + D.size))
+        yield j0, _invert(buffer[:modes.tau.size * D.size].reshape(-1, D.size), modes.D_o, D,
+                          modes.tau, (row[a:b], col[a:b] - j0, val[a:b]))
+
+
+def _phi(modes: _BlockModes, snapshots: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """phi (n_snap, L) from the excited emitter, whose overlap with eigenstate n is sqrt(w_n);
+    its phases are psi_e's, turned by their long-double rounding.  `buffer` holds the panels."""
+    # exp(-i t E) over (t, E) keeps each phase's bits with the long axis innermost.
+    phase = _phases(snapshots, modes.energy, np.ones(snapshots.size, dtype=bool)).T.copy()
     phase *= modes.weight[:, None]
+    bright = np.empty((modes.D.size, snapshots.size), dtype=complex)
+    for j0, panel in _inverse_panels(modes, buffer):
+        # The real panel times the complex phases, as one real product.
+        np.matmul(panel.T, phase.view(float), out=bright.view(float)[j0:j0 + panel.shape[1]])
     coupled = np.zeros((modes.pole.size, snapshots.size), dtype=complex)
-    # The real inverse times the complex phases, as one real product.
-    coupled[modes.bright] = (modes.inverse.T @ phase.view(float)).view(complex)
+    coupled[modes.bright] = bright
     coupled *= modes.coupling
     return coupled[modes.group].T
 
@@ -427,8 +469,9 @@ def _phases(a: np.ndarray, b: np.ndarray, exact: np.ndarray | None = None) -> np
     np.sin(arg, out=out.imag)
     np.negative(out.imag, out=out.imag)
     if exact is not None:  # exp(-i err), on the unit circle at any E t
-        err = (np.multiply.outer(a[exact].astype(np.longdouble), b) - arg[exact]).astype(float)
-        out[exact] *= np.cos(err) - 1j * np.sin(err)
+        rows = slice(None) if exact.all() else exact  # all rows in place, without a copy
+        err = (np.multiply.outer(a[rows].astype(np.longdouble), b) - arg[rows]).astype(float)
+        out[rows] *= np.cos(err) - 1j * np.sin(err)
     return out
 
 
@@ -450,7 +493,8 @@ def evolve_fixed_K(params: ModelParams, K: float, times) -> KBlockTrajectory:
     _check_block_budget(params.L, 1, times.size, times.size)
     modes = next(_chunk_modes(params, [K]))
     psi_e = _psi_e(times, [modes.energy], [modes.weight])[:, 0]
-    return KBlockTrajectory(K=float(K), times=times, psi_e=psi_e, phi=_phi(modes, times))
+    phi = _phi(modes, times, np.empty(_PANEL_BYTES // 8))
+    return KBlockTrajectory(K=float(K), times=times, psi_e=psi_e, phi=phi)
 
 
 def photon_spectrum_and_directionality(traj: KBlockTrajectory, t: float
@@ -668,12 +712,12 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
               {m: [(flip[m], flip), (m, n)] for m in range(L // 2 + 1)})
     psi_e = np.empty((times.size, L), dtype=complex)
     phi = np.empty((snapshots.size, L, L), dtype=complex)
-    sources, buffer = list(serves), np.empty(L * (L + 1))
+    sources, buffer = list(serves), np.empty(_PANEL_BYTES // 8)
     per = max(1, _CHUNK_ROOTS // (L + 1))  # blocks per batched solve
     for chunk in (sources[i:i + per] for i in range(0, len(sources), per)):
         solved = []
-        for source, modes in zip(chunk, _chunk_modes(params, kgrid[chunk], buffer)):
-            ph = _phi(modes, snapshots)  # before the next block overwrites the buffer
+        for source, modes in zip(chunk, _chunk_modes(params, kgrid[chunk])):
+            ph = _phi(modes, snapshots, buffer)
             for m, order in serves[source]:
                 phi[:, m, :] = ph[:, order]
             solved.append((modes.energy, modes.weight))

@@ -4,18 +4,22 @@ Two oracles, both built directly on the dispersion relations with none of
 the package's closed forms (self-energy, scattering amplitudes, bound-state
 roots) in the loop:
 
-* dense_block_diagonalize - full real-symmetric eigendecomposition of one
+* dense_block_diagonalize - real-symmetric eigendecomposition of one
   (L+1) x (L+1) momentum block, the matrix dynamics.block_hamiltonian builds
-  under the same memory budget, by LAPACK syevd in place on that matrix; its
-  extremal eigenvalues and excited-state weights check the bound-state
-  solver, and its completeness checks the scattering + bound-state
-  resolution of identity.
+  under the same memory budget: LAPACK dsytrd reduces it in place to
+  tridiagonal form, and dstevd diagonalizes that.  The emitter row of the
+  eigenvectors is the tridiagonal's own (Golub & Welsch, Math. Comp. 23,
+  221 (1969)), so the reflectors are never applied.  Its extremal
+  eigenvalues and excited-state weights check the bound-state solver, and
+  its completeness checks the scattering + bound-state resolution of
+  identity.
 
 * wavepacket_scattering_oracle - scatters a Gaussian single-photon packet
   off a Gaussian ground-state emitter packet by brute-force time evolution
   and measures transmission/reflection populations and peak momenta.  The
   evolution uses a Chebyshev expansion of exp(-iHt) (machine-precision for
-  enough terms, no time-step error), vectorized over all participating
+  enough terms, no time-step error), its Bessel coefficients from Miller's
+  backward recurrence, vectorized over all participating
   total-momentum blocks, which keeps the L = 2000 experiment to seconds
   where per-block dense eigendecompositions would take many minutes.
 """
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import block_hamiltonian
-from .errors import OracleInvalid, ParameterError, check_memory
+from .errors import NumericalFailure, OracleInvalid, ParameterError, check_memory
 from .model import (
     ModelParams,
     gap_energy,
@@ -50,38 +54,48 @@ class BlockSpectrum:
     eigenvalues: np.ndarray
     weights: np.ndarray
 
-    def out_of_band_count(self, halfwidth: float, margin: float) -> int:
-        return int(np.count_nonzero(np.abs(self.eigenvalues) > halfwidth + margin))
-
 
 def _dense_block(params: ModelParams, K: float) -> np.ndarray:
-    """The K block, once its dense eigensolver's ~6 (L+1)(L+2) doubles fit the budget."""
-    check_memory(6 * (params.L + 1) * (params.L + 2) * 8, "dense K-block work", "reduce L")
+    """The K block, once the ~2 (L+1)(L+5) doubles of its dense solve fit the budget:
+    the block, then the eigenvectors and the equal workspace of the tridiagonal solve."""
+    check_memory(16 * (params.L + 1) * (params.L + 5), "dense K-block work", "reduce L")
     return block_hamiltonian(params, K)
 
 
+def _lapack(name: str, info: int) -> None:
+    if info != 0:
+        raise NumericalFailure(f"LAPACK {name} failed (info = {info})")
+
+
 def dense_block_diagonalize(params: ModelParams, K: float) -> BlockSpectrum:
-    """Full eigendecomposition of the K block; weights are |<K|v_n>|^2.
+    """Eigendecomposition of the K block; weights are |<K|v_n>|^2.
 
-    LAPACK syevd runs in place on the block it builds (its transpose, the
-    same symmetric matrix in Fortran order), so the eigenvectors overwrite
-    it: no input copy and no separate output array, about 3 (L+1)^2 doubles
-    where numpy's eigh takes about 5.
+    dsytrd reduces the block (its transpose, the same symmetric matrix in
+    Fortran order) in place to a tridiagonal T = Q^T H Q, and the block is
+    freed before dstevd diagonalizes T = Z diag(E) Z^T.  The eigenvectors
+    are Q Z, but every reflector of the lower reduction leaves row 0 alone,
+    so their emitter row is Z's: the weights are those of syevd, which
+    applies Q, bit for bit, in about 2 (L+1)^2 doubles where syevd takes 3.
     """
-    from scipy.linalg import eigh  # scipy is needed only by the oracles
+    from scipy.linalg import lapack  # scipy is needed only by this oracle
 
-    w, v = eigh(_dense_block(params, K).T, driver="evd", overwrite_a=True)
-    return BlockSpectrum(K=float(K), eigenvalues=w, weights=np.abs(v[0, :]) ** 2)
-
-
-def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
-    """Eigenvalues only (ascending); cheaper than the full decomposition."""
-    return np.linalg.eigvalsh(_dense_block(params, K))
+    n = params.L + 1
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    _lapack("dsytrd_lwork", info)
+    # The unpacking drops the reduced block (the first `_`) before dstevd allocates.
+    _, d, e, _, info = lapack.dsytrd(_dense_block(params, K).T, lower=1,
+                                     lwork=int(lwork), overwrite_a=1)
+    _lapack("dsytrd", info)
+    energy, z, info = lapack.dstevd(d, e, overwrite_d=1, overwrite_e=1)
+    _lapack("dstevd", info)
+    return BlockSpectrum(K=float(K), eigenvalues=energy, weights=z[0] ** 2)
 
 
 # ---------------------------------------------------------------------------
 # Chebyshev propagation over a batch of K blocks
 
+
+_EPS = np.finfo(float).eps
 
 #: Bytes of one (blocks, L) complex array of the Chebyshev recursion; its
 #: five arrays of that size (1.25 MiB) then fit in a 2 MiB L2 cache.
@@ -108,8 +122,6 @@ def chebyshev_evolve_blocks(diag: np.ndarray, e_gap: np.ndarray, coupling: float
     are summed a few at a time, sized so that the recursion's arrays stay
     in cache; the result does not depend on the grouping.
     """
-    from scipy.special import jv  # scipy is needed only by the oracles
-
     n_blocks, L = phi0.shape
     om = abs(coupling) * math.sqrt(L)
     lo = min(float(diag.min()), float(e_gap.min())) - om
@@ -120,7 +132,7 @@ def chebyshev_evolve_blocks(diag: np.ndarray, e_gap: np.ndarray, coupling: float
     bt = b * t
     n_est = int(bt + 14.0 * (bt + 20.0) ** (1.0 / 3.0) + 25.0)
     orders = np.arange(n_est + 1)
-    bessel = jv(orders, bt)
+    bessel = _bessel_j(n_est, bt)
     keep = np.flatnonzero(np.abs(bessel) > 1e-16)
     n_terms = int(keep[-1]) + 1 if keep.size else 1
 
@@ -136,6 +148,28 @@ def chebyshev_evolve_blocks(diag: np.ndarray, e_gap: np.ndarray, coupling: float
         phi[r], psi[r] = _chebyshev_sum(coef, (diag[r] - a) / b, (e_gap[r] - a) / b,
                                         coupling / b, phi0[r], psi_e0[r])
     return phi, psi
+
+
+def _bessel_j(n: int, x: float) -> np.ndarray:
+    """J_0(x) .. J_n(x) for 0 <= x <= n by Miller's backward recurrence (Gautschi,
+    SIAM Rev. 9, 24 (1967)), normalised by J_0 + 2 sum_k J_2k = 1.
+
+    The recurrence J_{k-1} = (2k/x) J_k - J_{k+1} starts from J = 0 at an
+    order far past n, where the minimal solution J swamps any start, and is
+    carried as the ratios r_k = J_k / J_{k-1} = x / (2k - x r_{k+1}): the
+    rescaling that the unnormalised values need before they overflow (by
+    2k/x a step at small x) is built in.  At x = 0 every ratio is 0 and
+    J_0 = 1 exactly.
+    """
+    top = n + 20 + int(math.sqrt(40 * n))
+    ratio, r = 0.0, np.empty(top)
+    for k in range(top, 0, -1):
+        # A zero denominator (J_{k-1} = 0 to rounding) takes its rounding scale.
+        ratio = x / (2 * k - x * ratio or 2 * k * _EPS)
+        r[k - 1] = ratio
+    p = np.cumprod(r)  # J_k / J_0
+    j0 = 1.0 / (1.0 + 2.0 * math.fsum(p[1::2]))
+    return np.concatenate(([j0], j0 * p[:n]))
 
 
 def _chebyshev_sum(coef, sdiag, sgap, sw, phi0, psi_e0):

@@ -30,7 +30,6 @@ from wqed_mobile import (
     ModelParams,
     bound_wavefunctions,
     classify_regime_and_windows,
-    dense_block_eigenvalues,
     evolve_fixed_K,
     evolve_localized,
     fit_exponential_rate,
@@ -46,7 +45,13 @@ from wqed_mobile import (
     wavepacket_scattering_oracle,
     wrap,
 )
+from wqed_mobile.oracle import _dense_block
 from wqed_mobile.scattering import scatter
+
+
+def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
+    """The dense K block's eigenvalues (ascending), by numpy's eigvalsh."""
+    return np.linalg.eigvalsh(_dense_block(params, K))
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

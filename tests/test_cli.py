@@ -139,9 +139,9 @@ def test_emit_localized(tmp_path, monkeypatch):
 
 
 def test_emit_localized_at_astronomical_times_and_sites(tmp_path, monkeypatch):
-    # At t = 1e20, E t is far past double's resolution and the run loses its
-    # norm, so it exits 3 and writes nothing; 10**400, beyond any float, is a
-    # site (that of 0 on L = 8).
+    # At t = 1e20, E t is far past long double's resolution and the phases
+    # are not resolved, so it exits 3 and writes nothing; 10**400, beyond any
+    # float, is a site (that of 0 on L = 8).
     monkeypatch.chdir(tmp_path)
     assert main(["emit-localized", "--L", "8", "--nt", "3", "--tmax", "1e20"]) == 3
     assert list(tmp_path.iterdir()) == []
@@ -154,15 +154,25 @@ def test_emit_localized_at_astronomical_times_and_sites(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    # psi_e's stepped phases and phi's direct ones part by |E t| 2^-64 a step.
     ["emit-fixed-k", "--K", "0.5", "--Jp", "0.5", "--Omega", "0.2", "--L", "64",
-     "--tmax", "1e18", "--nt", "5"],  # P_e(tmax) + sum N_p = 1.24
-    ["emit-localized", "--L", "8", "--nt", "3", "--tmax", "1e12"],  # drift 1.4e-5
+     "--tmax", "1e18", "--nt", "5"],  # drift 0.0145
+    # The norm holds, but max|E| t u = 1.6e-7 rad.
+    ["emit-localized", "--L", "8", "--nt", "3", "--tmax", "1e12"],
 ])
 def test_emission_that_loses_its_norm_exit_3(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 3
-    assert "loses its norm: max|norm - 1|" in capsys.readouterr().err
+    message = {"1e18": "loses its norm: max|norm - 1|", "1e12": "(phase resolution)"}
+    assert message[argv[argv.index("--tmax") + 1]] in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_emission_at_a_resolved_huge_time_exits_0(tmp_path, monkeypatch):
+    # psi_e and phi turn their phases by one rule, so at t = 1e8 (E t within
+    # 1.6e-11 rad) the norm holds to the guard's 1e-9.
+    monkeypatch.chdir(tmp_path)
+    assert main(["emit-localized", "--L", "8", "--nt", "3", "--tmax", "1e8"]) == 0
 
 
 def test_emit_localized_thread_count_does_not_change_bytes(tmp_path, monkeypatch):

@@ -76,13 +76,14 @@ def test_times_validation_and_size_budget():
         evolve_fixed_K(params, 0.0, [1.0, 0.5])
     with pytest.raises(ParameterError):
         evolve_fixed_K(params, 0.0, [-1.0, 0.5])
-    # Over the budget in the (L+1) x L inverse alone; raised before any allocation.
+    # Over the budget in the secular solve's ~900 doubles a root alone; raised
+    # before any allocation.
     with pytest.raises(SizeError):
-        evolve_fixed_K(ModelParams(J=1.0, Jp=0.1, Delta=0.0, Omega=0.1, L=20_000),
+        evolve_fixed_K(ModelParams(J=1.0, Jp=0.1, Delta=0.0, Omega=0.1, L=300_000),
                        0.0, [1.0])
-    # A fixed-K run at L = 7000 needs ~0.4 GiB and fits the budget (checked
-    # without allocating it).
-    dynamics._check_block_budget(7000, 1, 2, 2)
+    # A fixed-K run at L = 150,000 needs ~1.5 GiB and fits the budget (checked
+    # without allocating it): no term grows like L^2.
+    dynamics._check_block_budget(150_000, 1, 2, 2)
     # psi_e's work does not grow with the sample count: a localized run at
     # L = 400 with 20001 samples needs ~0.2 GiB, nearly all of it the output.
     dynamics._check_block_budget(400, 400, 20_001, 2)
@@ -533,9 +534,9 @@ def test_localized_solves_each_mirrored_block_once(monkeypatch, jp, solves):
     # at J' = 0 all blocks are the same matrix and take one.
     calls = []
 
-    def counted(params, Ks, buffer=None):
+    def counted(params, Ks):
         calls.extend(Ks)
-        return chunk_modes(params, Ks, buffer)
+        return chunk_modes(params, Ks)
 
     chunk_modes = dynamics._chunk_modes
     monkeypatch.setattr(dynamics, "_chunk_modes", counted)
@@ -561,16 +562,22 @@ def test_localized_solves_each_mirrored_block_once(monkeypatch, jp, solves):
 ])
 def test_batched_blocks_equal_their_one_block_solves(params, Ks):
     # Solving the roots of many blocks at once, one, three or all blocks per
-    # batch, changes no bit of any block's energies, weights or inverse.
+    # batch, changes no bit of any block's energies, weights or 1 / (E_n - P),
+    # all of whose columns are materialised here, also in panels of 3.
+    def inverse(modes, doubles):
+        panels = dynamics._inverse_panels(modes, np.empty(doubles))
+        return np.hstack([np.empty((modes.tau.size, 0))] + [p.copy() for _, p in panels])
+
     single = [next(_chunk_modes(params, [K])) for K in Ks]
-    buffer = np.empty(params.L * (params.L + 1))
+    whole = [inverse(one, params.L * (params.L + 1)) for one in single]
     for per in (1, 3, len(Ks)):
         for i in range(0, len(Ks), per):
-            for one, modes in zip(single[i:], dynamics._chunk_modes(params, Ks[i:i + per],
-                                                                    buffer)):
+            for one, full, modes in zip(single[i:], whole[i:],
+                                        dynamics._chunk_modes(params, Ks[i:i + per])):
                 assert np.array_equal(modes.energy, one.energy)
                 assert np.array_equal(modes.weight, one.weight)
-                assert np.array_equal(modes.inverse, one.inverse)
+                assert np.array_equal(inverse(modes, params.L * (params.L + 1)), full)
+                assert np.array_equal(inverse(modes, 3 * (params.L + 1)), full)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,

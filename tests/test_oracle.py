@@ -21,7 +21,6 @@ from wqed_mobile import (
     OracleInvalid,
     band_halfwidth,
     dense_block_diagonalize,
-    dense_block_eigenvalues,
     evolve_fixed_K,
     gap_energy,
     momentum_grid,
@@ -30,9 +29,22 @@ from wqed_mobile import (
     wrap,
 )
 from wqed_mobile import oracle
+from wqed_mobile.dynamics import block_hamiltonian
 from wqed_mobile.errors import SizeError
-from wqed_mobile.oracle import chebyshev_evolve_blocks
+from wqed_mobile.oracle import _bessel_j, _dense_block, chebyshev_evolve_blocks
 from wqed_mobile.scattering import _scatter_arrays
+
+
+def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
+    """The dense K block's eigenvalues (ascending), by numpy's eigvalsh."""
+    return np.linalg.eigvalsh(_dense_block(params, K))
+
+
+def _run_python(code: str, cwd) -> str:
+    """stdout of `code` in a fresh interpreter that imports this package."""
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, cwd=cwd).stdout
 
 
 def test_dense_decoupled_spectrum_exact():
@@ -56,7 +68,7 @@ def test_dense_completeness_and_bound_state_count():
         spec = dense_block_diagonalize(params, K)
         assert abs(spec.weights.sum() - 1.0) < 1e-10
         b = float(band_halfwidth(params, K))
-        assert spec.out_of_band_count(b, 10.0 / params.L) == 2
+        assert np.count_nonzero(np.abs(spec.eigenvalues) > b + 10.0 / params.L) == 2
 
 
 def test_dense_static_extremal_eigenvalues():
@@ -69,25 +81,25 @@ def test_dense_static_extremal_eigenvalues():
 
 @pytest.mark.parametrize("solve", [dense_block_diagonalize, dense_block_eigenvalues])
 def test_dense_blocks_check_the_budget_before_building(solve, monkeypatch):
-    # Both dense entry points refuse an L whose eigensolver work exceeds the
-    # 2 GiB budget (6 (L+1)(L+2) doubles: about 2.9 GiB at L = 8000) before
-    # the matrix is built.
+    # Both dense solves refuse an L whose work exceeds the 2 GiB budget
+    # (2 (L+1)(L+5) doubles: the limit is L = 11,582) before the matrix is
+    # built.
     def build(params, K):
         raise AssertionError("block built before the budget check")
 
     monkeypatch.setattr(oracle, "block_hamiltonian", build)
     with pytest.raises(SizeError, match="dense K-block work"):
-        solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=8000), 0.0)
+        solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=11_600), 0.0)
     with pytest.raises(AssertionError, match="budget check"):
-        solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=6000), 0.0)
+        solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=11_500), 0.0)
 
 
 def test_dense_solve_runs_in_place(tmp_path):
-    # syevd overwrites the block with its eigenvectors: at L = 2000 the call
-    # raises the peak RSS by about 3.25 blocks of (L+1)^2 doubles; 4.2 fails
-    # a solve that copies its input and writes a separate output (numpy's
-    # eigh, about 5).  A fresh process sees the rise alone; the warm-up loads
-    # scipy and LAPACK.
+    # dsytrd reduces the block in place and the block is freed before dstevd
+    # writes its eigenvectors and workspace: at L = 2000 the call raises the
+    # peak RSS by about 2.25 blocks of (L+1)^2 doubles; 2.6 fails syevd in
+    # place (about 3.25) and any solve that copies the block.  A fresh
+    # process sees the rise alone; the warm-up loads scipy and LAPACK.
     code = (
         "import resource, sys\n"
         "from wqed_mobile import ModelParams, dense_block_diagonalize\n"
@@ -98,11 +110,52 @@ def test_dense_solve_runs_in_place(tmp_path):
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "solve(2000)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
-    src = str(Path(oracle.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True, cwd=tmp_path).stdout
-    rise_bytes = 1024 * int(out.split()[-1])  # ru_maxrss is in KiB on Linux
-    assert rise_bytes < 4.2 * 8 * 2001**2
+    rise_bytes = 1024 * int(_run_python(code, tmp_path).split()[-1])  # ru_maxrss is in KiB
+    assert rise_bytes < 2.6 * 8 * 2001**2
+
+
+@pytest.mark.parametrize("params, K", [
+    (ModelParams(J=1.0, Jp=0.4, Delta=0.9, Omega=0.7, L=64), 1.1),
+    # J' = 0: exactly degenerate photon pairs; K = 0 and K = pi: merged rings.
+    (ModelParams(J=1.0, Jp=0.0, Delta=0.3, Omega=0.5, L=64), 0.7),
+    (ModelParams(J=1.0, Jp=0.5, Delta=-3.0, Omega=1.0, L=64), 0.0),
+    (ModelParams(J=1.0, Jp=0.5, Delta=3.0, Omega=0.2, L=64), math.pi),
+    # The emitter level on a pole pair, two states 8.9e-7 apart.
+    (ModelParams(J=1.0, Jp=0.0, Delta=0.0, Omega=math.exp(-13), L=52), 0.0),
+])
+def test_dense_solve_equals_syevd_bit_for_bit(params, K):
+    # The reflectors of the tridiagonal reduction leave the emitter row alone,
+    # so dstevd's eigenvalues and row 0 are those of the full syevd solve.
+    from scipy.linalg import eigh
+
+    spec = dense_block_diagonalize(params, K)
+    energy, vectors = eigh(block_hamiltonian(params, K), driver="evd")
+    assert np.array_equal(spec.eigenvalues, energy)
+    assert np.array_equal(spec.weights, vectors[0] ** 2)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, 1e-8, 0.1, 1.0, 30.0, 560.0, 1400.0])
+def test_bessel_coefficients_match_scipy(x):
+    # Miller's recurrence against scipy's jv up to the order the Chebyshev sum
+    # would ask for at this b t; at x = 0 only J_0 = 1 remains, exactly.
+    from scipy.special import jv
+
+    n = int(x + 14.0 * (x + 20.0) ** (1.0 / 3.0) + 25.0)
+    bessel = _bessel_j(n, x)
+    assert bessel.shape == (n + 1,)
+    assert np.abs(bessel - jv(np.arange(n + 1), x)).max() <= 5e-14
+    if x == 0.0:
+        assert bessel[0] == 1.0 and not bessel[1:].any()
+
+
+def test_wavepacket_oracle_loads_no_scipy_special(tmp_path):
+    code = (
+        "import math, sys\n"
+        "from wqed_mobile import ModelParams, wavepacket_scattering_oracle\n"
+        "wavepacket_scattering_oracle(ModelParams(J=1.0, Jp=0.1, Omega=0.5, L=200),"
+        " 0.5, math.pi / 2, 0.03, 20.0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n")
+    assert _run_python(code, tmp_path).splitlines()[-1] == "[]"
 
 
 def test_chebyshev_matches_dense_evolution():
