@@ -388,7 +388,7 @@ def test_every_command_has_help(capsys):
 
 def test_import_leaves_scipy_unloaded(tmp_path):
     # Importing the package and running subcommands load no scipy; only the
-    # two oracles import it, when called.
+    # dense oracle imports it, when called.
     src = str(Path(wqed_mobile.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys; from wqed_mobile.cli import main; "
