@@ -12,9 +12,9 @@ Green's function (Economou, Green's Functions in Quantum Physics).  So the
 eigenvalues cost O(L) per block, and only phi's product with the O(L^2)
 matrix 1 / (E_n - pole), which is formed a column panel at a time in one
 reused buffer of fixed size.  Every block starts from the excited emitter
-with the field empty; psi_e's phases exp(-iEt) are stepped by exp(-iE dt)
-over a recurring exact dt, and phi's take the same long-double-corrected
-rule at its snapshots.
+with the field empty; every phase exp(-iEt) is turned by the long-double
+rounding of E t, and psi_e's are stepped by exp(-iE dt) over a recurring
+exact dt.
 
 An emitter localized at site x0 is the uniform superposition
 c_K = e^{i K x0} / sqrt(L) of the blocks' excited states; position-space
@@ -425,7 +425,7 @@ def _phi(modes: _BlockModes, snapshots: np.ndarray, buffer: np.ndarray) -> np.nd
     """phi (n_snap, L) from the excited emitter, whose overlap with eigenstate n is sqrt(w_n);
     its phases are psi_e's, turned by their long-double rounding.  `buffer` holds the panels."""
     # exp(-i t E) over (t, E) keeps each phase's bits with the long axis innermost.
-    phase = _phases(snapshots, modes.energy, np.ones(snapshots.size, dtype=bool)).T.copy()
+    phase = _phases(snapshots, modes.energy).T.copy()
     phase *= modes.weight[:, None]
     bright = np.empty((modes.D.size, snapshots.size), dtype=complex)
     for j0, panel in _inverse_panels(modes, buffer):
@@ -440,17 +440,17 @@ def _phi(modes: _BlockModes, snapshots: np.ndarray, buffer: np.ndarray) -> np.nd
 def _psi_e(times: np.ndarray, energies, weights) -> np.ndarray:
     """sum_n w_n exp(-i E_n t) per block (energy and weight arrays) at every time.
     A time (not every 64th) an exact dt after the last steps by exp(-i E dt) if dt recurs
-    among the 8 commonest; the rest take cos and sin, 64 at once, exact if a step follows."""
+    among the 8 commonest; the rest take _phases, 64 at once."""
     energy, dt = np.concatenate(energies), np.diff(times, prepend=0.0)
     step = (np.arange(times.size) % 64 > 0) & (dt - times == -np.r_[0.0, times[:-1]])  # Fast2Sum
     d, count = np.unique(dt[step], return_counts=True)
     d = d[count > 1][np.argsort(count[count > 1], kind="stable")[-8:]]
-    factors = dict(zip(d, _phases(d, energy, exact=np.ones(d.size, dtype=bool))))
+    factors = dict(zip(d, _phases(d, energy)))
     fresh = np.flatnonzero(~(step & np.isin(dt, list(factors))))
     ends, starts = np.r_[fresh[1:], times.size], np.cumsum([0] + [e.size for e in energies[:-1]])
     psi = np.empty((times.size, len(energies)), dtype=complex)
     for i in range(0, fresh.size, 64):
-        rows = _phases(times[fresh[i:i + 64]], energy, ends[i:i + 64] > fresh[i:i + 64] + 1)
+        rows = _phases(times[fresh[i:i + 64]], energy)
         rows *= np.concatenate(weights)
         psi[fresh[i:i + 64]] = np.add.reduceat(rows, starts, axis=1)
         for row, j0, j1 in zip(rows, fresh[i:i + 64], ends[i:i + 64]):
@@ -460,18 +460,18 @@ def _psi_e(times: np.ndarray, energies, weights) -> np.ndarray:
     return psi
 
 
-def _phases(a: np.ndarray, b: np.ndarray, exact: np.ndarray | None = None) -> np.ndarray:
-    """exp(-i a_j b_k) over (j, k), from one real product and its cos and sin; the rows
-    in the mask `exact` turn by its rounding where long double is wider than double."""
+def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(-i a_j b_k) over (j, k), from one real product and its cos and sin, turned by
+    the product's long-double rounding where long double is wider than double."""
     arg = np.multiply.outer(a, b)
     out = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=out.real)
     np.sin(arg, out=out.imag)
     np.negative(out.imag, out=out.imag)
-    if exact is not None:  # exp(-i err), on the unit circle at any E t
-        rows = slice(None) if exact.all() else exact  # all rows in place, without a copy
-        err = (np.multiply.outer(a[rows].astype(np.longdouble), b) - arg[rows]).astype(float)
-        out[rows] *= np.cos(err) - 1j * np.sin(err)
+    err = np.multiply.outer(a.astype(np.longdouble), b.astype(np.longdouble))
+    err -= arg
+    err = err.astype(float)
+    out *= np.cos(err) - 1j * np.sin(err)  # exp(-i err), on the unit circle at any E t
     return out
 
 

@@ -7,12 +7,13 @@ roots) in the loop:
 * dense_block_diagonalize - real-symmetric eigendecomposition of one
   (L+1) x (L+1) momentum block, the matrix dynamics.block_hamiltonian builds
   under the same memory budget: LAPACK dsytrd reduces it in place to
-  tridiagonal form, and dstevd diagonalizes that.  The emitter row of the
-  eigenvectors is the tridiagonal's own (Golub & Welsch, Math. Comp. 23,
-  221 (1969)), so the reflectors are never applied.  Its extremal
-  eigenvalues and excited-state weights check the bound-state solver, and
-  its completeness checks the scattering + bound-state resolution of
-  identity.
+  tridiagonal form, dsterf gives that its eigenvalues, and dstein its
+  eigenvectors by inverse iteration, a panel of them at a time, so no
+  second (L+1)^2 array is formed.  The emitter row of the eigenvectors is
+  the tridiagonal's own (Golub & Welsch, Math. Comp. 23, 221 (1969)), so
+  the reflectors are never applied.  Its extremal eigenvalues and
+  excited-state weights check the bound-state solver, and its completeness
+  checks the scattering + bound-state resolution of identity.
 
 * wavepacket_scattering_oracle - scatters a Gaussian single-photon packet
   off a Gaussian ground-state emitter packet by brute-force time evolution
@@ -55,10 +56,14 @@ class BlockSpectrum:
     weights: np.ndarray
 
 
+#: Eigenvectors of one dstein call: (L+1) x 64 doubles, 1 MiB at L = 2000.
+_PANEL = 64
+
+
 def _dense_block(params: ModelParams, K: float) -> np.ndarray:
-    """The K block, once the ~2 (L+1)(L+5) doubles of its dense solve fit the budget:
-    the block, then the eigenvectors and the equal workspace of the tridiagonal solve."""
-    check_memory(16 * (params.L + 1) * (params.L + 5), "dense K-block work", "reduce L")
+    """The K block, once its dense solve fits the budget: the block, reduced in place,
+    and O(L) more (the tridiagonal, the reduction's panel workspace and dstein's panel)."""
+    check_memory(8 * (params.L + 1) * (params.L + 65), "dense K-block work", "reduce L")
     return block_hamiltonian(params, K)
 
 
@@ -68,27 +73,52 @@ def _lapack(name: str, info: int) -> None:
 
 
 def dense_block_diagonalize(params: ModelParams, K: float) -> BlockSpectrum:
-    """Eigendecomposition of the K block; weights are |<K|v_n>|^2.
+    """Eigenvalues of the K block and their weights |<K|v_n>|^2, from one row of eigenvectors.
 
-    dsytrd reduces the block (its transpose, the same symmetric matrix in
-    Fortran order) in place to a tridiagonal T = Q^T H Q, and the block is
-    freed before dstevd diagonalizes T = Z diag(E) Z^T.  The eigenvectors
-    are Q Z, but every reflector of the lower reduction leaves row 0 alone,
-    so their emitter row is Z's: the weights are those of syevd, which
-    applies Q, bit for bit, in about 2 (L+1)^2 doubles where syevd takes 3.
+    dsytrd reduces the block (its transpose, the same matrix in Fortran order) in place to
+    a tridiagonal T = Q^T H Q.  Every reflector of the lower reduction leaves row 0 alone,
+    so the weights are row 0 of T's eigenvectors squared.  dsterf gives T's eigenvalues
+    and dstein its eigenvectors, a panel at a time.  T splits where an off-diagonal is
+    exactly 0 (Omega = 0), and only the part that holds row 0 weighs.
     """
     from scipy.linalg import lapack  # scipy is needed only by this oracle
+
+    def sterf(d, e):  # the wrapper takes no empty e
+        energy, info = lapack.dsterf(d, e) if d.size > 1 else (d.copy(), 0)
+        _lapack("dsterf", info)
+        return energy
 
     n = params.L + 1
     lwork, info = lapack.dsytrd_lwork(n, lower=1)
     _lapack("dsytrd_lwork", info)
-    # The unpacking drops the reduced block (the first `_`) before dstevd allocates.
+    # The unpacking drops the reduced block (the first `_`).
     _, d, e, _, info = lapack.dsytrd(_dense_block(params, K).T, lower=1,
                                      lwork=int(lwork), overwrite_a=1)
     _lapack("dsytrd", info)
-    energy, z, info = lapack.dstevd(d, e, overwrite_d=1, overwrite_e=1)
-    _lapack("dstevd", info)
-    return BlockSpectrum(K=float(K), eigenvalues=energy, weights=z[0] ** 2)
+    m = 1 + int(np.argmax(np.append(e, 0.0) == 0.0))  # rows of row 0's part
+    energy = np.concatenate((sterf(d[:m], e[:m - 1]), sterf(d[m:], e[m:])))
+    weights = np.zeros(n)
+    weights[:m] = _row0_weights(lapack, d[:m], e[:m - 1], energy[:m]) if m > 1 else 1.0
+    order = np.argsort(energy, kind="stable")
+    return BlockSpectrum(K=float(K), eigenvalues=energy[order], weights=weights[order])
+
+
+def _row0_weights(lapack, d, e, energy) -> np.ndarray:
+    """z_0^2 of the unit eigenvectors z of the unreduced tridiagonal (d, e) at its ascending
+    eigenvalues `energy`, by dstein's inverse iteration _PANEL eigenvalues at a time."""
+    m = d.size
+    block, split = np.ones(m, dtype=np.int32), np.full(m, m, dtype=np.int32)  # one block
+    weights, a = np.empty(m), 0
+    while a < m:
+        # dstein keeps close eigenvalues' vectors orthogonal within one call only, so
+        # each panel ends at the widest gap of its second half.
+        half = energy[a + _PANEL // 2:a + _PANEL + 1]
+        b = m if m - a <= _PANEL else a + _PANEL // 2 + 1 + int(np.argmax(np.diff(half)))
+        z, info = lapack.dstein(d, e, energy[a:b], block, split)
+        _lapack("dstein", info)
+        weights[a:b] = z[0] ** 2
+        a = b
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +130,6 @@ _EPS = np.finfo(float).eps
 #: Bytes of one (blocks, L) complex array of the Chebyshev recursion; its
 #: five arrays of that size (1.25 MiB) then fit in a 2 MiB L2 cache.
 _CACHE_BYTES = 1 << 18
-
-
-def _apply_blocks(diag, e_gap, w, phi, psi_e):
-    """One Hamiltonian application on stacked block states."""
-    return (diag * phi + w * psi_e[:, None],
-            e_gap * psi_e + w * phi.sum(axis=1))
 
 
 def chebyshev_evolve_blocks(diag: np.ndarray, e_gap: np.ndarray, coupling: float,
@@ -176,7 +200,7 @@ def _chebyshev_sum(coef, sdiag, sgap, sw, phi0, psi_e0):
     """sum_n coef_n T_n(H) (phi0, psi_e0) for the scaled blocks H."""
     n_terms = coef.size
     pm1, em1 = phi0.astype(complex), psi_e0.astype(complex)
-    p0_, e0_ = _apply_blocks(sdiag, sgap, sw, pm1, em1)
+    p0_, e0_ = sdiag * pm1 + sw * em1[:, None], sgap * em1 + sw * pm1.sum(axis=1)  # H T_0
     phi = coef[0] * pm1 + (coef[1] * p0_ if n_terms > 1 else 0.0)
     psi = coef[0] * em1 + (coef[1] * e0_ if n_terms > 1 else 0.0)
     # T_{n+1} = 2 H T_n - T_{n-1} in three buffers; doubling is exact, so
@@ -257,13 +281,14 @@ def wavepacket_scattering_oracle(params: ModelParams, k0: float, p0: float,
     b_qb = _gaussian_packet(p, k0, sigma_p, 0.0)
 
     # phi_K(p) = A(p) B(K - p): emitter index j = index(K) - index(p) on the
-    # closed grid.
+    # closed grid.  The block weights are summed a panel of K rows at a time.
     m_idx = np.arange(L)
-    j_idx = grid_sub_index(m_idx[:, None], m_idx[None, :], L)
-    amp_full = a_ph[None, :] * b_qb[j_idx]
-    block_w = np.sum(np.abs(amp_full) ** 2, axis=1)
+    rows = max(1, _CACHE_BYTES // (16 * L))
+    block_w = np.concatenate([
+        np.sum(np.abs(a_ph * b_qb[grid_sub_index(m_idx[s:s + rows, None], m_idx, L)]) ** 2,
+               axis=1) for s in range(0, L, rows)])
     keep = np.flatnonzero(block_w > 1e-16 * block_w.max())
-    phi0 = amp_full[keep]
+    phi0 = a_ph[None, :] * b_qb[grid_sub_index(keep[:, None], m_idx[None, :], L)]
     norm = math.sqrt(float(np.sum(np.abs(phi0) ** 2)))
     phi0 /= norm
 

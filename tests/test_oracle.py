@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from wqed_mobile import (
     ModelParams,
@@ -31,8 +32,11 @@ from wqed_mobile import (
 from wqed_mobile import oracle
 from wqed_mobile.dynamics import block_hamiltonian
 from wqed_mobile.errors import SizeError
+from wqed_mobile.model import grid_sub_index
 from wqed_mobile.oracle import _bessel_j, _dense_block, chebyshev_evolve_blocks
 from wqed_mobile.scattering import _scatter_arrays
+
+from dense_reference import blocks, refined_dense_weights
 
 
 def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
@@ -82,24 +86,24 @@ def test_dense_static_extremal_eigenvalues():
 @pytest.mark.parametrize("solve", [dense_block_diagonalize, dense_block_eigenvalues])
 def test_dense_blocks_check_the_budget_before_building(solve, monkeypatch):
     # Both dense solves refuse an L whose work exceeds the 2 GiB budget
-    # (2 (L+1)(L+5) doubles: the limit is L = 11,582) before the matrix is
-    # built.
+    # ((L+1)(L+65) doubles: the block and O(L); the limit is L = 16,351)
+    # before the matrix is built.
     def build(params, K):
         raise AssertionError("block built before the budget check")
 
     monkeypatch.setattr(oracle, "block_hamiltonian", build)
     with pytest.raises(SizeError, match="dense K-block work"):
-        solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=11_600), 0.0)
+        solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=16_400), 0.0)
     with pytest.raises(AssertionError, match="budget check"):
-        solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=11_500), 0.0)
+        solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=16_300), 0.0)
 
 
 def test_dense_solve_runs_in_place(tmp_path):
-    # dsytrd reduces the block in place and the block is freed before dstevd
-    # writes its eigenvectors and workspace: at L = 2000 the call raises the
-    # peak RSS by about 2.25 blocks of (L+1)^2 doubles; 2.6 fails syevd in
-    # place (about 3.25) and any solve that copies the block.  A fresh
-    # process sees the rise alone; the warm-up loads scipy and LAPACK.
+    # dsytrd reduces the block in place, and dstein forms 64 eigenvectors at
+    # a time: at L = 2000 the call raises the peak RSS by about one block of
+    # (L+1)^2 doubles; 1.3 fails any solve that copies the block or forms all
+    # eigenvectors at once (dstevd on the tridiagonal took about 2.25).  A
+    # fresh process sees the rise alone; the warm-up loads scipy and LAPACK.
     code = (
         "import resource, sys\n"
         "from wqed_mobile import ModelParams, dense_block_diagonalize\n"
@@ -111,27 +115,93 @@ def test_dense_solve_runs_in_place(tmp_path):
         "solve(2000)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
     rise_bytes = 1024 * int(_run_python(code, tmp_path).split()[-1])  # ru_maxrss is in KiB
-    assert rise_bytes < 2.6 * 8 * 2001**2
+    assert rise_bytes < 1.3 * 8 * 2001**2
 
 
-@pytest.mark.parametrize("params, K", [
+_SYEVD_CASES = [
     (ModelParams(J=1.0, Jp=0.4, Delta=0.9, Omega=0.7, L=64), 1.1),
     # J' = 0: exactly degenerate photon pairs; K = 0 and K = pi: merged rings.
     (ModelParams(J=1.0, Jp=0.0, Delta=0.3, Omega=0.5, L=64), 0.7),
     (ModelParams(J=1.0, Jp=0.5, Delta=-3.0, Omega=1.0, L=64), 0.0),
     (ModelParams(J=1.0, Jp=0.5, Delta=3.0, Omega=0.2, L=64), math.pi),
-    # The emitter level on a pole pair, two states 8.9e-7 apart.
-    (ModelParams(J=1.0, Jp=0.0, Delta=0.0, Omega=math.exp(-13), L=52), 0.0),
-])
-def test_dense_solve_equals_syevd_bit_for_bit(params, K):
-    # The reflectors of the tridiagonal reduction leave the emitter row alone,
-    # so dstevd's eigenvalues and row 0 are those of the full syevd solve.
+    # Weak couplings, where the emitter row is the smaller of the first two.
+    (ModelParams(J=1.0, Jp=0.5, Delta=0.3, Omega=1e-8, L=64), 0.7),
+    (ModelParams(J=1.0, Jp=0.5, Delta=0.3, Omega=1e-12, L=64), 0.7),
+]
+
+
+@pytest.mark.parametrize("params, K", _SYEVD_CASES)
+def test_dense_solve_matches_syevd(params, K):
+    # dsterf's eigenvalues and dstein's emitter row against syevd's.
     from scipy.linalg import eigh
 
+    h = block_hamiltonian(params, K)
     spec = dense_block_diagonalize(params, K)
-    energy, vectors = eigh(block_hamiltonian(params, K), driver="evd")
-    assert np.array_equal(spec.eigenvalues, energy)
-    assert np.array_equal(spec.weights, vectors[0] ** 2)
+    energy, vectors = eigh(h, driver="evd")
+    assert np.abs(spec.eigenvalues - energy).max() <= 1e-13 * np.abs(h).max()
+    assert np.abs(spec.weights - vectors[0] ** 2).max() <= 1e-12
+
+
+def test_dense_weights_at_the_emitter_pole_resonance():
+    # The emitter level on a pole pair, two states 8.9e-7 apart, where syevd's
+    # weights are 2.0e-10 off: the cluster sums hold to 1e-10 of the weights
+    # refined in long double (dstein's are 4.4e-11 off).
+    params, K = ModelParams(J=1.0, Jp=0.0, Delta=0.0, Omega=math.exp(-13), L=52), 0.0
+    spec = dense_block_diagonalize(params, K)
+    h = block_hamiltonian(params, K)
+    assert np.abs(spec.eigenvalues - np.linalg.eigvalsh(h)).max() <= 1e-13 * np.abs(h).max()
+    cuts = np.r_[0, np.flatnonzero(np.diff(spec.eigenvalues) > 1e-9) + 1]
+    assert np.abs(np.add.reduceat(spec.weights, cuts)
+                  - np.add.reduceat(refined_dense_weights(params, K, 1e-9), cuts)).max() <= 1e-10
+
+
+def test_dense_weights_without_coupling():
+    # Omega = 0 splits the emitter off: one weight is exactly 1, at the emitter
+    # level, and every other exactly 0.
+    params = ModelParams(J=1.0, Jp=0.3, Delta=0.4, Omega=0.0, L=64)
+    spec = dense_block_diagonalize(params, 0.9)
+    assert np.count_nonzero(spec.weights) == 1 and spec.weights.sum() == 1.0
+    assert spec.eigenvalues[np.argmax(spec.weights)] == gap_energy(params, 0.9)
+
+
+def test_dense_dark_states_weigh_nothing():
+    # J' = 0: photon pairs p, -p are exactly degenerate, so the emitter reaches
+    # only the L/2 + 1 distinct photon energies; the reduction's off-diagonal
+    # there is rounding (7.7e-15), and the dark states weigh its square at most.
+    spec = dense_block_diagonalize(ModelParams(J=1.0, Jp=0.0, Delta=0.3, Omega=0.5, L=64), 0.7)
+    weights = np.sort(spec.weights)
+    assert weights[:64 // 2 - 1].max() <= 1e-28 and weights[64 // 2 - 1] > 1e-6
+    assert abs(weights.sum() - 1.0) <= 1e-14
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(block=blocks())
+# The engine test's near-degenerate blocks: the emitter level on a pole pair,
+# pole families closer than their rounded energies resolve (K next to 0, J'
+# next to J), and photon pairs 1e-12 apart at J' = J + 1e-12.
+@example(block=(ModelParams(J=1.0, Jp=0.0, Delta=0.0, Omega=math.exp(-13.0), L=52), 0.0))
+@example(block=(ModelParams(J=1.0, Jp=0.0146, Delta=-0.645, Omega=1e-6, L=42), 1e-12))
+@example(block=(ModelParams(J=1.0, Jp=1 - 1e-12, Delta=2.0, Omega=1e-9, L=20), -math.pi / 2))
+@example(block=(ModelParams(J=1.0, Jp=1 - 1e-12, Delta=-2.0, Omega=1e-9, L=22),
+                math.pi - 1e-12))
+@example(block=(ModelParams(J=1.0, Jp=1.000000000001, Delta=0.0, Omega=1.0, L=4), -math.pi / 2))
+# A cluster across dstein's first panel boundary: cut at index 64 instead of
+# at the widest gap, its weights summed to 1 + 1.4e-7.
+@example(block=(ModelParams(J=1.0, Jp=1 - 1e-12, Delta=2.0, Omega=1e-9, L=170), -math.pi / 2))
+def test_dense_weights_sum_to_one_property(block):
+    # Every weight is finite and in [0, 1], they sum to 1, no step warns, and
+    # the sums over clusters closer than 1e-9 match the long-double refined
+    # weights to 1e-10, as the engine's do.
+    params, K = block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = dense_block_diagonalize(params, K)
+    weights = spec.weights
+    assert np.all(np.isfinite(weights)) and weights.min() >= 0.0 and weights.max() <= 1.0
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    cuts = np.r_[0, np.flatnonzero(np.diff(spec.eigenvalues) > 1e-9) + 1]
+    assert np.abs(np.add.reduceat(weights, cuts)
+                  - np.add.reduceat(refined_dense_weights(params, K, 1e-9), cuts)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-300, 1e-8, 0.1, 1.0, 30.0, 560.0, 1400.0])
@@ -195,6 +265,35 @@ def test_chebyshev_blocks_are_independent_of_their_grouping(monkeypatch):
     monkeypatch.setattr(oracle, "_CACHE_BYTES", 16 * L * K.size)
     one_phi, one_psi = chebyshev_evolve_blocks(*args)
     assert np.array_equal(one_phi, phi) and np.array_equal(one_psi, psi)
+
+
+def test_wavepacket_blocks_equal_the_full_construction(monkeypatch):
+    # The oracle sums the block weights a panel of K rows at a time and builds
+    # only the kept blocks: the same bits as the whole L x L product.
+    packets, started, gaussian = [], [], oracle._gaussian_packet
+
+    def packet(*args):
+        packets.append(gaussian(*args))
+        return packets[-1]
+
+    def evolve(diag, e_gap, coupling, phi0, psi_e0, t):
+        started.append(phi0.copy())
+        return chebyshev_evolve_blocks(diag, e_gap, coupling, phi0, psi_e0, t)
+
+    monkeypatch.setattr(oracle, "_gaussian_packet", packet)
+    monkeypatch.setattr(oracle, "chebyshev_evolve_blocks", evolve)
+    L = 200
+    assert oracle._CACHE_BYTES // (16 * L) < L  # more than one panel
+    res = wavepacket_scattering_oracle(ModelParams(J=1.0, Jp=0.1, Omega=0.5, L=L),
+                                       0.5, math.pi / 2, 0.03, 20.0)
+    a_ph, b_qb = packets
+    m = np.arange(L)
+    amp = a_ph[None, :] * b_qb[grid_sub_index(m[:, None], m[None, :], L)]
+    block_w = np.sum(np.abs(amp) ** 2, axis=1)
+    phi0 = amp[np.flatnonzero(block_w > 1e-16 * block_w.max())]
+    phi0 /= math.sqrt(float(np.sum(np.abs(phi0) ** 2)))
+    assert res.n_blocks == phi0.shape[0] < L
+    assert np.array_equal(started[0], phi0)
 
 
 def test_wavepacket_static_full_reflection():
