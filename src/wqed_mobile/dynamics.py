@@ -246,8 +246,9 @@ def _chunk_modes(params: ModelParams, Ks):
             d, s2 = P[0] - a, g * g * M[0]
             t1 = -0.5 * (d + math.copysign(math.hypot(d, 2 * math.sqrt(s2)), d))
             tau = np.sort([t1, -s2 / t1])
-            roots = (P[0] + tau, tau * tau / (tau * tau + s2), np.zeros(2), np.zeros(1),
-                     tau, no_near)
+            c = np.maximum(np.abs(tau), math.sqrt(s2))  # tau * tau overflows past 1e154
+            roots = (P[0] + tau, (tau / c) ** 2 / ((tau / c) ** 2 + s2 / c / c), np.zeros(2),
+                     np.zeros(1), tau, no_near)
         yield _BlockModes(g, ring.group, pole, bright, *roots)
 
 

@@ -1,19 +1,22 @@
-"""Independent brute-force verifiers for the closed-form results.
+"""Independent brute-force verifiers for the closed-form results, built on the
+lattice with none of the package's closed forms (self-energy, secular sum,
+scattering amplitudes, bound-state roots) in the loop:
 
-Two oracles, both built directly on the dispersion relations with none of
-the package's closed forms (self-energy, scattering amplitudes, bound-state
-roots) in the loop:
-
-* dense_block_diagonalize - real-symmetric eigendecomposition of one
-  (L+1) x (L+1) momentum block, the matrix dynamics.block_hamiltonian builds
-  under the same memory budget: LAPACK dsytrd reduces it in place to
-  tridiagonal form, dsterf gives that its eigenvalues, and dstein its
-  eigenvectors by inverse iteration, a panel of them at a time, so no
-  second (L+1)^2 array is formed.  The emitter row of the eigenvectors is
-  the tridiagonal's own (Golub & Welsch, Math. Comp. 23, 221 (1969)), so
-  the reflectors are never applied.  Its extremal eigenvalues and
-  excited-state weights check the bound-state solver, and its completeness
-  checks the scattering + bound-state resolution of identity.
+* dense_block_diagonalize - eigenvalues and emitter weights of one K block.
+  In x, the photon's site minus the emitter's, the block is a ring with
+  H|x> = -z*|x+1> - z|x-1> (z = J + J' e^{-iK} = b e^{i phi}, the motion-induced
+  phase; its Fourier transform is omega_tilde(K, p) = -2 Re(z e^{ip})) and the
+  emitter level E_{K,Delta} bound to site 0 by Omega.  The gauge
+  |x> -> e^{-i phi x}|x> leaves all bonds -b but the two at site h = L/2, which
+  carry e^{-+i h phi}, and s_k, a_k = (|k> +- |-k>)/sqrt(2) make it a real path
+  (emitter, 0, s_1 .. s_{h-1}, h, a_{h-1} .. a_1; zero diagonal past the
+  emitter; bonds Omega, sqrt(2) b, b .., sqrt(2) b |cos h phi|, sqrt(2) b
+  |sin h phi|, b ..; signs change nothing here).  Starting at the emitter, it
+  is the tridiagonal a reduction of the dense block gives (implicit-Q
+  theorem), and the weights are the squared first row of its eigenvectors
+  (Golub & Welsch, Math. Comp. 23, 221 (1969)): dsterf's eigenvalues and
+  dstein's eigenvectors, a panel at a time, in O(L) memory.  It checks the
+  bound states and the completeness of scattering plus bound states.
 
 * wavepacket_scattering_oracle - scatters a Gaussian single-photon packet
   off a Gaussian ground-state emitter packet by brute-force time evolution
@@ -27,13 +30,13 @@ roots) in the loop:
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import block_hamiltonian
 from .errors import NumericalFailure, OracleInvalid, ParameterError, check_memory
 from .model import (
     ModelParams,
@@ -44,6 +47,7 @@ from .model import (
     v_emitter,
     v_photon,
     wrap,
+    z_of_K,
 )
 
 
@@ -60,11 +64,14 @@ class BlockSpectrum:
 _PANEL = 64
 
 
-def _dense_block(params: ModelParams, K: float) -> np.ndarray:
-    """The K block, once its dense solve fits the budget: the block, reduced in place,
-    and O(L) more (the tridiagonal, the reduction's panel workspace and dstein's panel)."""
-    check_memory(8 * (params.L + 1) * (params.L + 65), "dense K-block work", "reduce L")
-    return block_hamiltonian(params, K)
+def _lattice_tridiagonal(params: ModelParams, K: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal d and bonds e of the K block's path (see the module docstring)."""
+    h, z = params.L // 2, complex(z_of_K(params, K))
+    b, twist = abs(z), h * cmath.phase(z)  # twist = 0, sin exactly 0, where phi = 0
+    d, bulk, r2b = np.zeros(params.L + 1), np.full(h - 2, b), math.sqrt(2.0) * b
+    d[0] = gap_energy(params, K)
+    return d, np.concatenate(([params.Omega, r2b], bulk,
+                              [r2b * abs(math.cos(twist)), r2b * abs(math.sin(twist))], bulk))
 
 
 def _lapack(name: str, info: int) -> None:
@@ -73,14 +80,10 @@ def _lapack(name: str, info: int) -> None:
 
 
 def dense_block_diagonalize(params: ModelParams, K: float) -> BlockSpectrum:
-    """Eigenvalues of the K block and their weights |<K|v_n>|^2, from one row of eigenvectors.
-
-    dsytrd reduces the block (its transpose, the same matrix in Fortran order) in place to
-    a tridiagonal T = Q^T H Q.  Every reflector of the lower reduction leaves row 0 alone,
-    so the weights are row 0 of T's eigenvectors squared.  dsterf gives T's eigenvalues
-    and dstein its eigenvectors, a panel at a time.  T splits where an off-diagonal is
-    exactly 0 (Omega = 0), and only the part that holds row 0 weighs.
-    """
+    """Eigenvalues of the K block and their weights |<K|v_n>|^2, row 0 of its path's
+    eigenvectors squared.  The path splits at a bond of 0 (or subnormal, which dstein
+    mishandles): Omega = 0, or phi = 0 (K = 0 or J' = 0), whose L/2 - 1 odd states a_k are
+    dark.  Only the part that holds row 0 weighs.  The budget charges O(L) and the panel."""
     from scipy.linalg import lapack  # scipy is needed only by this oracle
 
     def sterf(d, e):  # the wrapper takes no empty e
@@ -89,13 +92,9 @@ def dense_block_diagonalize(params: ModelParams, K: float) -> BlockSpectrum:
         return energy
 
     n = params.L + 1
-    lwork, info = lapack.dsytrd_lwork(n, lower=1)
-    _lapack("dsytrd_lwork", info)
-    # The unpacking drops the reduced block (the first `_`).
-    _, d, e, _, info = lapack.dsytrd(_dense_block(params, K).T, lower=1,
-                                     lwork=int(lwork), overwrite_a=1)
-    _lapack("dsytrd", info)
-    m = 1 + int(np.argmax(np.append(e, 0.0) == 0.0))  # rows of row 0's part
+    check_memory(8 * n * (_PANEL + 16), "dense K-block work", "reduce L")
+    d, e = _lattice_tridiagonal(params, K)
+    m = 1 + int(np.argmax(np.append(e, 0.0) < np.finfo(float).tiny))  # row 0's part
     energy = np.concatenate((sterf(d[:m], e[:m - 1]), sterf(d[m:], e[m:])))
     weights = np.zeros(n)
     weights[:m] = _row0_weights(lapack, d[:m], e[:m - 1], energy[:m]) if m > 1 else 1.0

@@ -1,5 +1,6 @@
-"""Dense-block references shared by the dynamics and oracle tests: long-double
-refined emitter weights and a hypothesis strategy of (params, K) blocks."""
+"""Dense-block references shared by the test modules: the block's eigenvalues, the
+block in long double, long-double refined emitter weights and a hypothesis strategy
+of (params, K) blocks."""
 
 import math
 
@@ -10,17 +11,34 @@ from wqed_mobile import ModelParams, momentum_grid
 from wqed_mobile.dynamics import block_hamiltonian
 
 
-def refined_dense_weights(params, K, cluster):
-    """Emitter weights |<K|v_n>|^2 of the dense eigh, refined by one step of
-    Ogita & Aishima (Japan J. Ind. Appl. Math. 35, 1007 (2018)) in long double.
+def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
+    """The dense K block's eigenvalues (ascending), by numpy's eigvalsh."""
+    return np.linalg.eigvalsh(block_hamiltonian(params, K))
+
+
+def long_double_block(params: ModelParams, K: float) -> np.ndarray:
+    """block_hamiltonian in long double, with long-double pi and cos: the exact block of
+    the double K to about 1e-19, where the double block rounds every photon energy."""
+    L, jp, pi = params.L, np.longdouble(params.Jp), 4 * np.arctan(np.longdouble(1))
+    p, K = -pi + 2 * pi * np.arange(L, dtype=np.longdouble) / L, np.longdouble(K)
+    h = np.zeros((L + 1, L + 1), dtype=np.longdouble)
+    h[0, 0] = params.Delta - 2 * jp * np.cos(K)
+    np.fill_diagonal(h[1:, 1:], -2 * np.longdouble(params.J) * np.cos(p) - 2 * jp * np.cos(K - p))
+    h[0, 1:] = h[1:, 0] = params.Omega / np.sqrt(np.longdouble(L))
+    return h
+
+
+def refined_dense_weights(h, cluster):
+    """Emitter weights |<K|v_n>|^2 of the block h (double or long double) from the dense
+    eigh, refined by one step of Ogita & Aishima (Japan J. Ind. Appl. Math. 35, 1007
+    (2018)) in long double.
 
     eigh alone errs by ~eps ||h|| / gap: 2e-10 for two states 8.9e-7 apart when
     a pole meets the emitter level at Omega = e^-13.  The step leaves pairs
     closer than `cluster` unmixed, so only sums over such clusters hold.
     """
-    h = block_hamiltonian(params, K)
-    x = np.linalg.eigh(h)[1].astype(np.longdouble)
-    r = np.eye(params.L + 1, dtype=np.longdouble) - x.T @ x
+    x = np.linalg.eigh(h.astype(float))[1].astype(np.longdouble)
+    r = np.eye(h.shape[0], dtype=np.longdouble) - x.T @ x
     s = x.T @ h.astype(np.longdouble) @ x
     lam = np.diag(s) / (1 - np.diag(r))
     gap = lam[None, :] - lam[:, None]

@@ -45,13 +45,9 @@ from wqed_mobile import (
     wavepacket_scattering_oracle,
     wrap,
 )
-from wqed_mobile.oracle import _dense_block
 from wqed_mobile.scattering import scatter
 
-
-def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
-    """The dense K block's eigenvalues (ascending), by numpy's eigvalsh."""
-    return np.linalg.eigvalsh(_dense_block(params, K))
+from dense_reference import dense_block_eigenvalues
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -30,12 +30,8 @@ from wqed_mobile import (
     solve_bound_state,
     z_of_K,
 )
-from wqed_mobile.oracle import _dense_block
 
-
-def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
-    """The dense K block's eigenvalues (ascending), by numpy's eigvalsh."""
-    return np.linalg.eigvalsh(_dense_block(params, K))
+from dense_reference import dense_block_eigenvalues
 
 
 GENERIC = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=1.0, L=2000)

@@ -582,6 +582,17 @@ def test_batched_blocks_equal_their_one_block_solves(params, Ks):
                 assert np.array_equal(inverse(modes, 3 * (params.L + 1)), full)
 
 
+@pytest.mark.parametrize("J, delta", [(1.41, 1e300), (1.0, 1e160), (1.41, -1e300)])
+def test_one_pole_weights_at_huge_detuning(J, delta):
+    # J' = J closes the band at K = pi into one pole, solved by its quadratic.  Its two
+    # weights stay finite and sum to 1 where tau * tau overflows: they were [0, nan]
+    # at Delta = 1e300 and [1e-320, nan] at 1e160.
+    params = ModelParams(J=J, Jp=J, Delta=delta, Omega=0.5, L=6)
+    weight = next(_chunk_modes(params, [math.pi])).weight
+    assert weight.size == 2 and np.all(np.isfinite(weight))
+    assert abs(weight.sum() - 1.0) <= 1e-15
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
                     reason="long double is no wider than double: E t keeps its rounding")
 def test_stepped_phases_match_exact_phases():
@@ -658,9 +669,11 @@ def test_arrowhead_engine_matches_dense_property(block):
     dense = dense_block_diagonalize(params, K)
     assert np.abs(energies[order] - dense.eigenvalues).max() <= 1e-10
     # Weights, summed over clusters of eigenvalues closer than 1e-9, where the
-    # dense eigenvectors are not unique.
+    # dense eigenvectors are not unique.  They are refined on the double block,
+    # whose rounded photon energies are the engine's poles: against the
+    # long-double block the engine reads 1.94e-10 at the Omega = e^-13 resonance.
     cuts = np.flatnonzero(np.diff(dense.eigenvalues) > 1e-9) + 1
-    dense_weights = refined_dense_weights(params, K, 1e-9)
+    dense_weights = refined_dense_weights(block_hamiltonian(params, K), 1e-9)
     assert np.abs(np.add.reduceat(weights[order], np.r_[0, cuts])
                   - np.add.reduceat(dense_weights, np.r_[0, cuts])).max() <= 1e-10
 

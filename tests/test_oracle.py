@@ -33,15 +33,11 @@ from wqed_mobile import oracle
 from wqed_mobile.dynamics import block_hamiltonian
 from wqed_mobile.errors import SizeError
 from wqed_mobile.model import grid_sub_index
-from wqed_mobile.oracle import _bessel_j, _dense_block, chebyshev_evolve_blocks
+from wqed_mobile.oracle import _bessel_j, _lattice_tridiagonal, chebyshev_evolve_blocks
 from wqed_mobile.scattering import _scatter_arrays
 
-from dense_reference import blocks, refined_dense_weights
-
-
-def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
-    """The dense K block's eigenvalues (ascending), by numpy's eigvalsh."""
-    return np.linalg.eigvalsh(_dense_block(params, K))
+from dense_reference import (blocks, dense_block_eigenvalues, long_double_block,
+                             refined_dense_weights)
 
 
 def _run_python(code: str, cwd) -> str:
@@ -83,39 +79,71 @@ def test_dense_static_extremal_eigenvalues():
     assert ev[0] == pytest.approx(-ref, abs=1e-3)
 
 
-@pytest.mark.parametrize("solve", [dense_block_diagonalize, dense_block_eigenvalues])
-def test_dense_blocks_check_the_budget_before_building(solve, monkeypatch):
-    # Both dense solves refuse an L whose work exceeds the 2 GiB budget
-    # ((L+1)(L+65) doubles: the block and O(L); the limit is L = 16,351)
-    # before the matrix is built.
+def test_dense_blocks_check_the_budget_before_building(monkeypatch):
+    # The call charges (L+1)(64 + 16) doubles, dstein's panel of 64 eigenvectors and O(L)
+    # arrays, so it refuses an L past the 2 GiB limit (L = 3,355,442) before it builds
+    # the path.
     def build(params, K):
-        raise AssertionError("block built before the budget check")
+        raise AssertionError("path built before the budget check")
 
-    monkeypatch.setattr(oracle, "block_hamiltonian", build)
+    monkeypatch.setattr(oracle, "_lattice_tridiagonal", build)
     with pytest.raises(SizeError, match="dense K-block work"):
-        solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=16_400), 0.0)
+        dense_block_diagonalize(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=3_355_444), 0.0)
     with pytest.raises(AssertionError, match="budget check"):
-        solve(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=16_300), 0.0)
+        dense_block_diagonalize(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=3_355_442), 0.0)
 
 
 def test_dense_solve_runs_in_place(tmp_path):
-    # dsytrd reduces the block in place, and dstein forms 64 eigenvectors at
-    # a time: at L = 2000 the call raises the peak RSS by about one block of
-    # (L+1)^2 doubles; 1.3 fails any solve that copies the block or forms all
-    # eigenvectors at once (dstevd on the tridiagonal took about 2.25).  A
-    # fresh process sees the rise alone; the warm-up loads scipy and LAPACK.
+    # The call forms no (L+1)^2 array: dstein's 64 eigenvectors at a time and O(L) more
+    # raise the peak RSS by about 0.1 block of (L+1)^2 doubles at L = 2000; 0.2 fails any
+    # solve that builds the block (the reduction of the block in place took about 1.04).
+    # A fresh process sees the rise alone; the warm-up loads scipy and LAPACK.  It reads
+    # its own peak, VmHWM: Linux's ru_maxrss starts at the parent's RSS at the fork, so
+    # behind a large pytest process the rise read 0 even for a solve that built the block.
     code = (
         "import resource, sys\n"
         "from wqed_mobile import ModelParams, dense_block_diagonalize\n"
+        "def peak():  # KiB\n"
+        "    try:\n"
+        "        return int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+        "    except OSError:\n"
+        "        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "def solve(L):\n"
         "    dense_block_diagonalize(ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2,"
         " L=L), 0.3)\n"
         "solve(8)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
         "solve(2000)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
-    rise_bytes = 1024 * int(_run_python(code, tmp_path).split()[-1])  # ru_maxrss is in KiB
-    assert rise_bytes < 1.3 * 8 * 2001**2
+        "print(peak() - before)\n")
+    rise_bytes = 1024 * int(_run_python(code, tmp_path).split()[-1])
+    assert rise_bytes < 0.2 * 8 * 2001**2
+
+
+@pytest.mark.parametrize("L, jp", [(4, 0.5), (6, 0.5), (64, 0.5), (200, 0.5), (64, 1.7),
+                                   (200, 1.7)])
+def test_lattice_path_is_the_blocks_reduction(L, jp):
+    # dsytrd of the momentum block starts at the emitter, as the path does, so by the
+    # implicit-Q theorem it gives the path's bonds up to sign and a zero diagonal past
+    # the emitter.  Near a split the rounded block's tridiagonal is ill-determined: past
+    # site h it moves by about 7e-14 max|h| / min(|cos h phi|, |sin h phi|) (8e-12 at
+    # L = 200, J' = 0.5, K = 0.094).  So the check runs at every grid K but 0 and pi, and
+    # at K = 0.7 off the grid, where both twist bonds are at least half of sqrt(2) b.
+    from scipy.linalg import lapack
+
+    params, h = ModelParams(J=1.0, Jp=jp, Delta=0.4, Omega=0.6, L=L), L // 2
+    lwork, _ = lapack.dsytrd_lwork(L + 1, lower=1)
+    checked = 0
+    for K in [*momentum_grid(L)[1:], 0.7]:
+        d, e = _lattice_tridiagonal(params, K)
+        if K == 0.0 or min(e[h], e[h + 1]) < 0.5 * e[1]:
+            continue
+        block = block_hamiltonian(params, K)
+        _, d_ref, e_ref, _, info = lapack.dsytrd(block.T.copy(), lower=1, lwork=int(lwork))
+        assert info == 0 and d[0] == d_ref[0] and not d[1:].any()
+        tol = 1e-13 * np.abs(block).max()
+        assert np.abs(np.abs(e_ref) - e).max() <= tol and np.abs(d_ref[1:]).max() <= tol
+        checked += 1
+    assert checked
 
 
 _SYEVD_CASES = [
@@ -144,15 +172,17 @@ def test_dense_solve_matches_syevd(params, K):
 
 def test_dense_weights_at_the_emitter_pole_resonance():
     # The emitter level on a pole pair, two states 8.9e-7 apart, where syevd's
-    # weights are 2.0e-10 off: the cluster sums hold to 1e-10 of the weights
-    # refined in long double (dstein's are 4.4e-11 off).
+    # weights are 2.0e-10 off: the path is the exact block, so its cluster sums
+    # hold to 1e-12 of the long-double block's refined weights.  They are 9.0e-14
+    # apart; against a 40-digit eigsy the path is 1.7e-16 off, that reference 9.0e-14.
     params, K = ModelParams(J=1.0, Jp=0.0, Delta=0.0, Omega=math.exp(-13), L=52), 0.0
     spec = dense_block_diagonalize(params, K)
     h = block_hamiltonian(params, K)
     assert np.abs(spec.eigenvalues - np.linalg.eigvalsh(h)).max() <= 1e-13 * np.abs(h).max()
     cuts = np.r_[0, np.flatnonzero(np.diff(spec.eigenvalues) > 1e-9) + 1]
     assert np.abs(np.add.reduceat(spec.weights, cuts)
-                  - np.add.reduceat(refined_dense_weights(params, K, 1e-9), cuts)).max() <= 1e-10
+                  - np.add.reduceat(refined_dense_weights(long_double_block(params, K), 1e-9),
+                                    cuts)).max() <= 1e-12
 
 
 def test_dense_weights_without_coupling():
@@ -166,11 +196,11 @@ def test_dense_weights_without_coupling():
 
 def test_dense_dark_states_weigh_nothing():
     # J' = 0: photon pairs p, -p are exactly degenerate, so the emitter reaches
-    # only the L/2 + 1 distinct photon energies; the reduction's off-diagonal
-    # there is rounding (7.7e-15), and the dark states weigh its square at most.
+    # only the L/2 + 1 distinct photon energies; the path splits there, so the
+    # L/2 - 1 dark states weigh exactly 0.
     spec = dense_block_diagonalize(ModelParams(J=1.0, Jp=0.0, Delta=0.3, Omega=0.5, L=64), 0.7)
     weights = np.sort(spec.weights)
-    assert weights[:64 // 2 - 1].max() <= 1e-28 and weights[64 // 2 - 1] > 1e-6
+    assert not weights[:64 // 2 - 1].any() and weights[64 // 2 - 1] > 1e-6
     assert abs(weights.sum() - 1.0) <= 1e-14
 
 
@@ -188,10 +218,15 @@ def test_dense_dark_states_weigh_nothing():
 # A cluster across dstein's first panel boundary: cut at index 64 instead of
 # at the widest gap, its weights summed to 1 + 1.4e-7.
 @example(block=(ModelParams(J=1.0, Jp=1 - 1e-12, Delta=2.0, Omega=1e-9, L=170), -math.pi / 2))
+# A subnormal twist bond (phi = 1e-311), on which dstein lost 3.8e-3 of the weights.
+@example(block=(ModelParams(J=1.0, Jp=2.225073858507e-311, Delta=0.3, Omega=0.5, L=64),
+                1.3744467859455343))
 def test_dense_weights_sum_to_one_property(block):
     # Every weight is finite and in [0, 1], they sum to 1, no step warns, and
-    # the sums over clusters closer than 1e-9 match the long-double refined
-    # weights to 1e-10, as the engine's do.
+    # the sums over clusters closer than 1e-9 match the refined weights of the
+    # long-double block to 1e-12.  The path's entries are doubles, so its weights
+    # err by up to about eps ||h|| / gap: draws outside this fixed set reach
+    # 1.2e-11 (the emitter on a pole pair at J' = J, K = 0, Omega = 1.4e-6, L = 36).
     params, K = block
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -201,7 +236,8 @@ def test_dense_weights_sum_to_one_property(block):
     assert abs(weights.sum() - 1.0) <= 1e-12
     cuts = np.r_[0, np.flatnonzero(np.diff(spec.eigenvalues) > 1e-9) + 1]
     assert np.abs(np.add.reduceat(weights, cuts)
-                  - np.add.reduceat(refined_dense_weights(params, K, 1e-9), cuts)).max() <= 1e-10
+                  - np.add.reduceat(refined_dense_weights(long_double_block(params, K), 1e-9),
+                                    cuts)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-300, 1e-8, 0.1, 1.0, 30.0, 560.0, 1400.0])
