@@ -18,7 +18,6 @@ from .errors import (
 )
 from .model import (
     ModelParams,
-    band_extrema,
     band_halfwidth,
     gap_energy,
     momentum_grid,
@@ -39,7 +38,6 @@ from .boundstates import (
     band_scan,
     bound_wavefunctions,
     flatness_report,
-    pole_function,
     pole_residual,
     solve_bound_state,
 )
@@ -57,7 +55,6 @@ from .dynamics import (
     photon_spectrum_and_directionality,
     position_observables,
     spectrum_peaks,
-    wavefront_position,
 )
 from .oracle import (
     BlockSpectrum,

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BandEdgeSingularity, NoBoundState, NumericalFailure, ParameterError,
-                     check_memory)
+from .errors import NoBoundState, NumericalFailure, ParameterError, check_memory
 from .model import (
     ModelParams,
     band_halfwidth,
@@ -70,19 +69,6 @@ class WavefunctionField:
 
     x: np.ndarray
     amp: np.ndarray
-
-
-def pole_function(params: ModelParams, K: float, E: float) -> float:
-    """F(E) = E - E_{K,Delta} - Sigma_K(E), defined for |E| > 2|z(K)|."""
-    b = float(band_halfwidth(params, K))
-    if abs(E) == b:
-        raise BandEdgeSingularity(f"F(E) undefined at the band edge |E| = {b!r}")
-    if abs(E) < b:
-        raise ParameterError(
-            f"F(E) is only defined outside the band (|E| = {abs(E)!r} < 2|z| = {b!r})"
-        )
-    return float(_f_of_delta(abs(E) - b, 1 if E > 0 else -1, b,
-                             float(gap_energy(params, K)), params.Omega**2))
 
 
 def _f_of_delta(delta, side: int, b, e_gap, om2: float):
@@ -236,7 +222,7 @@ def _brent(f, xpre, xcur, fpre, fcur):
 def pole_residual(params: ModelParams, bound: BoundState) -> float:
     """|F| at a solved bound state, evaluated in the band-edge offset
     parametrization so the measurement stays exact arbitrarily close to the
-    edge (plain pole_function loses precision there to cancellation)."""
+    edge (F evaluated at E itself loses precision there to cancellation)."""
     b = float(band_halfwidth(params, bound.K))
     return abs(float(_f_of_delta(bound.edge_offset, bound.branch, b,
                                  float(gap_energy(params, bound.K)), params.Omega**2)))

@@ -90,8 +90,9 @@ def _time_index(times: np.ndarray, t: float, what: str = "sampled times") -> int
 
 def _check_block_budget(L: int, n_blocks: int, n_times: int, n_snapshots: int):
     # A chunk's ~900 doubles a root (~64 arrays, 8 step factors, 64 rows of phases), the
-    # panel buffer, ~400 doubles a row BLAS packs, one block's snapshot phases and their
-    # long-double rounding (~14 doubles each), all output.
+    # panel buffer (position_observables' panels later fit in as many bytes), ~400
+    # doubles a row BLAS packs, one block's snapshot phases and their long-double
+    # rounding (~14 doubles each), all output.
     check_memory(8 * 900 * min(n_blocks, max(1, _CHUNK_ROOTS // (L + 1))) * (L + 1)
                  + _PANEL_BYTES + 8 * (L + 1) * (400 + 14 * n_snapshots)
                  + 16 * n_blocks * (n_times + n_snapshots * L),
@@ -108,7 +109,13 @@ class KBlockTrajectory:
     phi: np.ndarray
 
     def norms(self) -> np.ndarray:
-        return np.abs(self.psi_e) ** 2 + np.sum(np.abs(self.phi) ** 2, axis=1)
+        return np.abs(self.psi_e) ** 2 + _sum_abs2(self.phi)
+
+
+def _sum_abs2(a: np.ndarray) -> np.ndarray:
+    """sum |a|^2 over the last axis, from two real dot products per row: no |a|^2 array."""
+    return (np.einsum("...j,...j->...", a.real, a.real)
+            + np.einsum("...j,...j->...", a.imag, a.imag))
 
 
 _EPS = np.finfo(float).eps
@@ -682,7 +689,7 @@ class LocalizedRun:
     def total_norm(self) -> np.ndarray:
         """Total norm at every snapshot time."""
         rows = [_time_index(self.times, t) for t in self.snapshots]
-        pops = np.abs(self.psi_e[rows]) ** 2 + np.sum(np.abs(self.phi) ** 2, axis=2)
+        pops = np.abs(self.psi_e[rows]) ** 2 + _sum_abs2(self.phi)
         return np.sum(np.abs(self.c[None, :]) ** 2 * pops, axis=1)
 
 
@@ -728,27 +735,6 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
                         psi_e=psi_e, phi=phi, snapshots=snapshots)
 
 
-def wavefront_position(x: np.ndarray, profile: np.ndarray) -> int:
-    """Ballistic wavefront location |x| of a symmetric position profile.
-
-    Folds the profile onto |x|, finds the outermost local maximum above
-    1e-3 of the maximum (the leading caustic lobe), and returns the outermost
-    site where the profile still reaches a tenth of that lobe height.
-    """
-    x = np.asarray(x)
-    profile = np.asarray(profile, dtype=float)
-    folded = np.zeros(int(np.max(np.abs(x))) + 1)
-    np.maximum.at(folded, np.abs(x), profile)
-    mid = folded[1:-1]
-    lobes = np.flatnonzero((mid > 1e-3 * folded.max())
-                           & (mid >= folded[:-2]) & (mid >= folded[2:])) + 1
-    if lobes.size == 0:
-        raise ParameterError("profile has no resolvable leading lobe")
-    lobe = int(lobes[-1])
-    reached = np.flatnonzero(folded[lobe + 1:] >= 0.1 * folded[lobe])
-    return lobe + 1 + int(reached[-1]) if reached.size else lobe
-
-
 @dataclass(frozen=True)
 class PositionObservables:
     """Snapshot of position-space occupations on centered sites x."""
@@ -773,25 +759,33 @@ def position_observables(run: LocalizedRun, t: float) -> PositionObservables:
 
     the conjugate phases placing an emitter built from c_K = e^{i K x0} at
     +x0.  Satisfies sum_x N = sum_x P_g and sum_x (P_e + P_g) = 1.
+
+    N gathers B a panel of rows k_g at a time.  P_g needs no gather: at fixed
+    p, k_g -> K = k_g + p is a cyclic shift of the grid, which multiplies the
+    sum over k_g by e^{i p x}, of modulus 1; so P_g(x) = (1/L) sum_p
+    |sum_K e^{-i K x} c_K phi_K(p, t)|^2, a panel of columns p at a time.  A
+    panel holds about _PANEL_BYTES / 128 entries, so no temporary grows like L^2.
     """
     it = _time_index(run.times, t)
-    L = run.params.L
-    idx = np.arange(L)
-    ksum = grid_add_index(idx[:, None], idx[None, :], L)  # index of k_g + p
+    L, c = run.params.L, run.c
     phi = run.phi[_time_index(run.snapshots, t, "snapshot times")]
-    b_joint = run.c[ksum] * phi[ksum, idx[None, :]]
-
+    width = max(1, _PANEL_BYTES // (128 * L))  # rows or columns per panel
+    p = np.arange(L)
+    n_photon, p_ground = np.zeros(L), np.zeros(L)
     # e^{-i p_n x} = e^{i pi x} e^{-2 pi i n x / L}: the prefactor drops in |.|^2.
-    n_photon = np.sum(np.abs(np.fft.fft(b_joint, axis=1)) ** 2, axis=0) / L
-    p_ground = np.sum(np.abs(np.fft.fft(b_joint, axis=0)) ** 2, axis=1) / L
-    p_excited = np.abs(np.fft.fft(run.c * run.psi_e[it])) ** 2 / L
+    for i0 in range(0, L, width):
+        K = grid_add_index(np.arange(i0, min(i0 + width, L))[:, None], p, L)  # k_g + p
+        n_photon += np.sum(np.abs(np.fft.fft(c[K] * phi[K, p], axis=1)) ** 2, axis=0)
+        columns = c[:, None] * phi[:, i0:i0 + width]
+        p_ground += np.sum(np.abs(np.fft.fft(columns, axis=0)) ** 2, axis=1)
+    p_excited = np.abs(np.fft.fft(c * run.psi_e[it])) ** 2
 
     half = L // 2
     x = np.arange(-half, half)
     return PositionObservables(
         t=float(run.times[it]),
         x=x,
-        n_photon=np.roll(n_photon, half),
-        p_ground=np.roll(p_ground, half),
-        p_excited=np.roll(p_excited, half),
+        n_photon=np.roll(n_photon / L, half),
+        p_ground=np.roll(p_ground / L, half),
+        p_excited=np.roll(p_excited / L, half),
     )

@@ -32,7 +32,6 @@ exactly one of which lies inside the unit circle for E outside the band.
 from __future__ import annotations
 
 import math
-import cmath
 import sys
 from dataclasses import dataclass
 
@@ -143,20 +142,6 @@ def omega_tilde(params: ModelParams, K, p):
 def gap_energy(params: ModelParams, K):
     """Effective emitter level E_{K,Delta} = Delta + xi_K."""
     return params.Delta + xi_emitter(params, K)
-
-
-def band_extrema(params: ModelParams, K: float) -> tuple[float, float, float, float]:
-    """Extrema of the effective band at fixed K.
-
-    omega_tilde(K, p) = -2|z(K)| cos(p + arg z(K)), so the minimum -2|z| sits
-    at p = -arg z and the maximum +2|z| at p = pi - arg z.
-
-    Returns (E_min, E_max, p_min, p_max).
-    """
-    z = complex(z_of_K(params, K))
-    phi = cmath.phase(z)
-    b = 2.0 * abs(z)
-    return -b, b, wrap(-phi), wrap(math.pi - phi)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,38 @@
-"""Dense-block references shared by the test modules: the block's eigenvalues, the
-block in long double, long-double refined emitter weights and a hypothesis strategy
-of (params, K) blocks."""
+"""Dense references shared by the test modules: the block's eigenvalues, the block in
+long double, long-double refined emitter weights, a hypothesis strategy of (params, K)
+blocks, the position observables from the whole L x L joint amplitude, and the
+wavefront of a position profile; and a fresh interpreter with its peak RSS."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
-from wqed_mobile import ModelParams, momentum_grid
+import wqed_mobile
+from wqed_mobile import ModelParams, ParameterError, momentum_grid
 from wqed_mobile.dynamics import block_hamiltonian
+from wqed_mobile.model import grid_add_index
+
+#: Source of peak(), the interpreter's own peak RSS in KiB: VmHWM, as Linux starts a
+#: child's ru_maxrss at its parent's RSS at the fork.
+PEAK_KIB = (
+    "import resource, sys\n"
+    "def peak():  # KiB\n"
+    "    try:\n"
+    "        return int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+    "    except OSError:\n"
+    "        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n")
+
+
+def run_python(code: str, cwd) -> str:
+    """stdout of `code` in a fresh interpreter that imports this package."""
+    src = str(Path(wqed_mobile.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, cwd=cwd).stdout
 
 
 def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:
@@ -58,3 +82,39 @@ def blocks(draw):
     K = draw(st.one_of(st.sampled_from((0.0, math.pi)),
                        st.integers(0, L - 1).map(lambda i: float(momentum_grid(L)[i]))))
     return ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=omega, L=L), K
+
+
+def position_reference(run, t: float):
+    """(N, P_g, P_e) on the centered sites of position_observables, from the whole joint
+    amplitude B(k_g, p) = c_{k_g+p} phi_{k_g+p}(p, t), L x L, and its 2-D transforms."""
+    L = run.params.L
+    idx = np.arange(L)
+    ksum = grid_add_index(idx[:, None], idx[None, :], L)  # index of k_g + p
+    phi = run.phi[int(np.flatnonzero(run.snapshots == t)[0])]
+    b_joint = run.c[ksum] * phi[ksum, idx[None, :]]
+    n_photon = np.sum(np.abs(np.fft.fft(b_joint, axis=1)) ** 2, axis=0) / L
+    p_ground = np.sum(np.abs(np.fft.fft(b_joint, axis=0)) ** 2, axis=1) / L
+    psi_e = run.psi_e[int(np.flatnonzero(run.times == t)[0])]
+    p_excited = np.abs(np.fft.fft(run.c * psi_e)) ** 2 / L
+    return tuple(np.roll(v, L // 2) for v in (n_photon, p_ground, p_excited))
+
+
+def wavefront_position(x: np.ndarray, profile: np.ndarray) -> int:
+    """Ballistic wavefront location |x| of a symmetric position profile.
+
+    Folds the profile onto |x|, finds the outermost local maximum above
+    1e-3 of the maximum (the leading caustic lobe), and returns the outermost
+    site where the profile still reaches a tenth of that lobe height.
+    """
+    x = np.asarray(x)
+    profile = np.asarray(profile, dtype=float)
+    folded = np.zeros(int(np.max(np.abs(x))) + 1)
+    np.maximum.at(folded, np.abs(x), profile)
+    mid = folded[1:-1]
+    lobes = np.flatnonzero((mid > 1e-3 * folded.max())
+                           & (mid >= folded[:-2]) & (mid >= folded[2:])) + 1
+    if lobes.size == 0:
+        raise ParameterError("profile has no resolvable leading lobe")
+    lobe = int(lobes[-1])
+    reached = np.flatnonzero(folded[lobe + 1:] >= 0.1 * folded[lobe])
+    return lobe + 1 + int(reached[-1]) if reached.size else lobe

@@ -24,17 +24,31 @@ from wqed_mobile import (
     gap_energy,
     momentum_grid,
     omega_tilde,
-    pole_function,
     pole_residual,
     self_energy,
     solve_bound_state,
     z_of_K,
 )
 
+from wqed_mobile.boundstates import _f_of_delta
+
 from dense_reference import dense_block_eigenvalues
 
 
 GENERIC = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=1.0, L=2000)
+
+
+def pole_function(params: ModelParams, K: float, E: float) -> float:
+    """F(E) = E - E_{K,Delta} - Sigma_K(E), defined for |E| > 2|z(K)|."""
+    b = float(band_halfwidth(params, K))
+    if abs(E) == b:
+        raise BandEdgeSingularity(f"F(E) undefined at the band edge |E| = {b!r}")
+    if abs(E) < b:
+        raise ParameterError(
+            f"F(E) is only defined outside the band (|E| = {abs(E)!r} < 2|z| = {b!r})"
+        )
+    return float(_f_of_delta(abs(E) - b, 1 if E > 0 else -1, b,
+                             float(gap_energy(params, K)), params.Omega**2))
 
 
 def test_pole_function_limits_and_monotonicity():

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,13 +28,13 @@ from wqed_mobile import (
     self_energy,
     solve_bound_state,
     spectrum_peaks,
-    wavefront_position,
 )
 from wqed_mobile import dynamics
 from wqed_mobile.dynamics import _chunk_modes, block_hamiltonian
 from wqed_mobile.oracle import dense_block_diagonalize
 
-from dense_reference import blocks, refined_dense_weights
+from dense_reference import (PEAK_KIB, blocks, position_reference, refined_dense_weights,
+                             run_python, wavefront_position)
 
 FIG_EMISSION = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=400)
 
@@ -458,6 +459,61 @@ def test_localized_sum_rules_and_norm():
         assert abs(obs.n_photon.sum() - obs.p_ground.sum()) < 1e-9
         assert abs(obs.p_excited.sum() + obs.p_ground.sum() - 1.0) < 1e-9
         assert obs.n_photon.min() > -1e-15
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(half=st.integers(2, 65), jp=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+       delta=st.floats(-3.0, 3.0), omega=st.floats(0.05, 1.0), x0=st.integers(-10**9, 10**9),
+       width=st.integers(1, 130), early=st.floats(0.0, 2.0), late=st.floats(20.0, 200.0))
+@example(half=65, jp=0.5, delta=0.0, omega=0.2, x0=3, width=126, early=0.0, late=60.0)
+def test_position_observables_match_the_whole_joint_amplitude(half, jp, delta, omega, x0,
+                                                              width, early, late):
+    # Panels of `width` rows and columns (126 at L = 130 under the package's own panel
+    # size), also where they do not divide L, against the L x L joint amplitude.
+    L = 2 * half
+    params = ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=omega, L=L)
+    run = evolve_localized(params, x0, [0.0, early, late], snapshots=[early, late])
+    panel = 128 * L * min(width, L)
+    with mock.patch.object(dynamics, "_PANEL_BYTES", panel):
+        for t in (early, late):
+            obs = position_observables(run, t)
+            for got, ref in zip((obs.n_photon, obs.p_ground, obs.p_excited),
+                                position_reference(run, t)):
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    pops = np.abs(run.psi_e[1:]) ** 2 + np.sum(np.abs(run.phi) ** 2, axis=2)
+    norm = np.sum(np.abs(run.c) ** 2 * pops, axis=1)
+    assert np.abs(run.total_norm() - norm).max() <= 1e-14
+
+
+def test_localized_observables_build_no_snapshot_sized_temporaries(tmp_path):
+    # position_observables and total_norm work a panel at a time, so together they
+    # raise the peak RSS by far less than a snapshot of phi (16 L^2 bytes); the L x L
+    # joint amplitude, its gather and its transforms took about 3.  phi is filled in
+    # place, so that building it leaves no freed heap for the calls to reuse.
+    L = 1024
+    code = (
+        PEAK_KIB +
+        "import numpy as np\n"
+        "from wqed_mobile import ModelParams, position_observables\n"
+        "from wqed_mobile.dynamics import LocalizedRun\n"
+        "def run(L):\n"
+        "    rng, t = np.random.default_rng(L), np.array([0.0, 1.0])\n"
+        "    phi = np.empty((2, L, L), dtype=complex)\n"
+        "    rng.standard_normal(out=phi.view(float))\n"
+        "    c = np.exp(2j * np.pi * rng.random(L)) / np.sqrt(L)\n"
+        "    return LocalizedRun(ModelParams(J=1.0, Jp=0.5, L=L), 0, t, c,\n"
+        "                        np.ones((2, L), dtype=complex), phi, t)\n"
+        "def observe(run):\n"
+        "    for t in run.snapshots:\n"
+        "        position_observables(run, t)\n"
+        "    run.total_norm()\n"
+        "observe(run(8))\n"
+        f"big = run({L})\n"
+        "before = peak()\n"
+        "observe(big)\n"
+        "print(peak() - before)\n")
+    rise_bytes = 1024 * int(run_python(code, tmp_path).split()[-1])
+    assert rise_bytes < 0.25 * 16 * L**2
 
 
 def test_localized_decay_mobile_vs_static():

@@ -5,6 +5,7 @@ differences, brute-force grid scans, trapezoidal quadrature) rather than by
 the code paths under test.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from wqed_mobile import (
     BandEdgeSingularity,
     ModelParams,
     ParameterError,
-    band_extrema,
     band_halfwidth,
     gap_energy,
     momentum_grid,
@@ -108,6 +108,16 @@ def test_z_special_points_and_modulus():
     for K in rng.uniform(-math.pi, math.pi, size=50):
         az = abs(complex(z_of_K(params, K)))
         assert abs(params.J - params.Jp) - 1e-12 <= az <= params.J + params.Jp + 1e-12
+
+
+def band_extrema(params: ModelParams, K: float) -> tuple[float, float, float, float]:
+    """Extrema (E_min, E_max, p_min, p_max) of the effective band at fixed K:
+    omega_tilde(K, p) = -2|z(K)| cos(p + arg z(K)), so the minimum -2|z| sits
+    at p = -arg z and the maximum +2|z| at p = pi - arg z."""
+    z = complex(z_of_K(params, K))
+    phi = cmath.phase(z)
+    b = 2.0 * abs(z)
+    return -b, b, wrap(-phi), wrap(math.pi - phi)
 
 
 def test_band_extrema_trivial_and_locations():

@@ -7,11 +7,7 @@ which must agree once the packets are narrow.
 """
 
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,15 +32,8 @@ from wqed_mobile.model import grid_sub_index
 from wqed_mobile.oracle import _bessel_j, _lattice_tridiagonal, chebyshev_evolve_blocks
 from wqed_mobile.scattering import _scatter_arrays
 
-from dense_reference import (blocks, dense_block_eigenvalues, long_double_block,
-                             refined_dense_weights)
-
-
-def _run_python(code: str, cwd) -> str:
-    """stdout of `code` in a fresh interpreter that imports this package."""
-    src = str(Path(oracle.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True, cwd=cwd).stdout
+from dense_reference import (PEAK_KIB, blocks, dense_block_eigenvalues, long_double_block,
+                             refined_dense_weights, run_python)
 
 
 def test_dense_decoupled_spectrum_exact():
@@ -101,13 +90,8 @@ def test_dense_solve_runs_in_place(tmp_path):
     # its own peak, VmHWM: Linux's ru_maxrss starts at the parent's RSS at the fork, so
     # behind a large pytest process the rise read 0 even for a solve that built the block.
     code = (
-        "import resource, sys\n"
+        PEAK_KIB +
         "from wqed_mobile import ModelParams, dense_block_diagonalize\n"
-        "def peak():  # KiB\n"
-        "    try:\n"
-        "        return int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
-        "    except OSError:\n"
-        "        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "def solve(L):\n"
         "    dense_block_diagonalize(ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2,"
         " L=L), 0.3)\n"
@@ -115,7 +99,7 @@ def test_dense_solve_runs_in_place(tmp_path):
         "before = peak()\n"
         "solve(2000)\n"
         "print(peak() - before)\n")
-    rise_bytes = 1024 * int(_run_python(code, tmp_path).split()[-1])
+    rise_bytes = 1024 * int(run_python(code, tmp_path).split()[-1])
     assert rise_bytes < 0.2 * 8 * 2001**2
 
 
@@ -261,7 +245,7 @@ def test_wavepacket_oracle_loads_no_scipy_special(tmp_path):
         "wavepacket_scattering_oracle(ModelParams(J=1.0, Jp=0.1, Omega=0.5, L=200),"
         " 0.5, math.pi / 2, 0.03, 20.0)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n")
-    assert _run_python(code, tmp_path).splitlines()[-1] == "[]"
+    assert run_python(code, tmp_path).splitlines()[-1] == "[]"
 
 
 def test_chebyshev_matches_dense_evolution():
