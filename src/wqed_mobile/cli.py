@@ -16,7 +16,6 @@ memory budget); nothing is written unless every output value is finite.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -54,37 +53,28 @@ from .dynamics import (
 
 #: Rows formatted at once: bounds the formatter's arrays, not the file size.
 _CHUNK_ROWS = 2048
-#: Precision of the scaled significands (80-bit on x86 Linux).  Where it is a
-#: double, more values sit within its error bound of a tie and take '%.12e'.
-_WORK = np.longdouble
 _QUAD = (np.arange(10000, dtype=np.int16)[:, None]  # row i: the digits of "%04d" % i
          // np.array([1000, 100, 10, 1], dtype=np.int16) % 10 + 48).astype(np.uint8)
-
-
-@functools.cache
-def _pow10(dtype) -> np.ndarray:
-    """10**m, m = -296..336, correctly rounded; clamped above the dtype's range."""
-    top = int(np.log10(np.finfo(dtype).max))
-    return np.array([f"1e{min(m, top)}" for m in range(-296, 337)], dtype=dtype)
+#: 10**m, m = -296..336, correctly rounded; clamped at 1e308, the largest finite one.
+_POW10 = np.array([f"1e{min(m, 308)}" for m in range(-296, 337)], dtype=float)
 
 
 def _cells(c: np.ndarray) -> np.ndarray:
     """(n, w) uint8 rows of '%d,' (int or bool c) or '%.12e,' % v; bytes 0 are padding.
 
-    rint(|v| 10^(12-e)) gives the 13 significant digits, unless the scaled
-    value lies within its rounding error (two eps of _WORK: the power and
-    the product) of a tie, or its digits leave [10^12, 10^13): those few
-    values take Python's correctly rounded '%.12e'."""
+    rint(|v| 10^(12-e)) gives the 13 significant digits, unless the scaled value lies
+    within its rounding error (two eps: the power and the product) of a tie, or its digits
+    leave [10^12, 10^13): those few values take Python's correctly rounded '%.12e'."""
     if c.dtype.kind in "biu":
         text = c.astype(np.int64).astype("S").view(np.uint8).reshape(len(c), -1)
         return np.pad(text, ((0, 0), (0, 1)), constant_values=ord(","))
     x = c.astype(np.float64)
     a = np.abs(x)
     e = np.floor(np.log10(np.where(a > 0, a, 1.0))).astype(np.int64)
-    s = a.astype(_WORK) * _pow10(_WORK)[296 + 12 - e]
+    s = a * _POW10[296 + 12 - e]
     r = np.rint(s)
     ok = (a == 0) | ((s >= 1e12) & (r < 1e13)
-                     & (np.abs(s - r) < 0.5 - 2 * np.finfo(_WORK).eps * s))
+                     & (np.abs(s - r) < 0.5 - 2 * np.finfo(float).eps * s))
     r = r.astype(np.int64)
     for i in np.flatnonzero(~ok):
         mant, _, exp = ("%.12e" % x[i]).partition("e")
@@ -204,18 +194,19 @@ def _time_grid(args) -> np.ndarray:
 NORM_TOL = 1e-9
 #: Largest rounding, in radians, that an emission run's phases E_n t may carry.
 PHASE_TOL = 1e-9
+#: Unit roundoff charged to each E_n t: x86 long double's, so all platforms exit alike.
+_PHASE_UNIT = 2.0**-64
 
 
 def _check_emission(norms: np.ndarray, params: ModelParams, t_max: float) -> None:
-    """The norm, then the phases: each E_n t carries the rounding of its long-double
-    product, up to max|E_n| t u with u long double's unit roundoff (2^-64 on x86, 2^-53
-    where it is a double), and max|E_n| <= max(|Delta| + 2J', 2J + 2J') + Omega."""
+    """The norm, then the phases: E_n t enters them exactly, but each is charged max|E_n| t
+    _PHASE_UNIT, where max|E_n| <= max(|Delta| + 2J', 2J + 2J') + Omega."""
     drift = float(np.max(np.abs(norms - 1.0)))
     if not drift <= NORM_TOL:  # also a NaN drift
         raise NumericalFailure(f"the run loses its norm: max|norm - 1| = {drift:.3g} "
                                f"> {NORM_TOL:g}")
     e_max = max(abs(params.Delta) + 2 * params.Jp, 2 * (params.J + params.Jp)) + params.Omega
-    error = e_max * t_max * float(np.finfo(np.longdouble).eps) / 2
+    error = e_max * t_max * _PHASE_UNIT
     if error > PHASE_TOL:
         raise NumericalFailure(f"the phases exp(-iEt) are resolved only to max|E| t u = "
                                f"{error:.3g} rad > {PHASE_TOL:g} (phase resolution); "
@@ -249,8 +240,8 @@ def _emit_localized(args, params):
     snapshots = [s + 0.0 for s in args.snapshot or [args.tmax]]  # + 0.0 turns -0 into 0
     named = {}
     for s in snapshots:
-        if s < 0:
-            raise ParameterError(f"--snapshot must be >= 0 (got {s!r})")
+        if not 0 <= s <= args.tmax:
+            raise ParameterError(f"--snapshot must lie in [0, --tmax {args.tmax!r}] (got {s!r})")
         key = f"{s:g}"
         if key in named:  # a repeat, or a time that rounds to the same name
             raise ParameterError(f"--snapshot t = {named[key]!r} and t = {s!r} "
@@ -346,12 +337,13 @@ def selfcheck(args: argparse.Namespace) -> int:
 
 
 class Command(NamedTuple):
-    """One subcommand: its name, help line, extra flags and its runner."""
+    """One subcommand: its name, help line, extra flags, its runner and other names."""
 
     name: str
     help: str
     run: Callable[[argparse.Namespace], int]
     flags: tuple = ()
+    aliases: tuple = ()
 
 
 _MAP_FLAGS = (
@@ -364,10 +356,8 @@ COMMANDS = (
     Command("scatter", "single (k_i, p_i) scattering amplitudes", _writes(_scatter), (
         ("--ki", dict(type=float, required=True, help="initial emitter momentum")),
         ("--pi", dict(type=float, required=True, help="initial photon momentum")))),
-    Command("map-transmission", "transmission map over (k_i, p_i)", _writes(_map),
-            _MAP_FLAGS),
-    Command("map-recoil", "emitter recoil-energy map over (k_i, p_i)", _writes(_map),
-            _MAP_FLAGS),
+    Command("map-transmission", "transmission and recoil-energy map over (k_i, p_i)",
+            _writes(_map), _MAP_FLAGS, ("map-recoil",)),
     Command("bound-energies", "bound-state bands over K", _writes(_bound_bands), (
         ("--nK", dict(type=int, default=201, help="K-grid size")),)),
     Command("bound-wavefunction", "bound-state wavefunction at one K",
@@ -401,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
-        sp = sub.add_parser(cmd.name, help=cmd.help)
+        sp = sub.add_parser(cmd.name, help=cmd.help, aliases=cmd.aliases)
         for flag, kwargs in _MODEL_FLAGS + cmd.flags:
             sp.add_argument(flag, **kwargs)
         sp.set_defaults(run=cmd.run)
@@ -415,15 +405,12 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2
-    except (BandEdgeSingularity, NoBoundState, NotEmbedded,
-            NumericalFailure, SizeError) as exc:
+    except (BandEdgeSingularity, NoBoundState, NotEmbedded, NumericalFailure, SizeError,
+            FloatingPointError) as exc:  # FloatingPointError: numpy's, under _writes' errstate
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:
         print(f"error: numerical failure: overflow ({exc})", file=sys.stderr)
-        return 3
-    except FloatingPointError as exc:  # numpy's, under the errstate of _writes
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

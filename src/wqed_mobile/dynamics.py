@@ -12,9 +12,9 @@ Green's function (Economou, Green's Functions in Quantum Physics).  So the
 eigenvalues cost O(L) per block, and only phi's product with the O(L^2)
 matrix 1 / (E_n - pole), which is formed a column panel at a time in one
 reused buffer of fixed size.  Every block starts from the excited emitter
-with the field empty; every phase exp(-iEt) is turned by the long-double
-rounding of E t, and psi_e's are stepped by exp(-iE dt) over a recurring
-exact dt.
+with the field empty; every phase exp(-iEt) is turned by the rounding of the
+product E t, which Veltkamp's split and Dekker's TwoProduct give exactly in
+doubles, and psi_e's are stepped by exp(-iE dt) over a recurring exact dt.
 
 An emitter localized at site x0 is the uniform superposition
 c_K = e^{i K x0} / sqrt(L) of the blocks' excited states; position-space
@@ -91,8 +91,8 @@ def _time_index(times: np.ndarray, t: float, what: str = "sampled times") -> int
 def _check_block_budget(L: int, n_blocks: int, n_times: int, n_snapshots: int):
     # A chunk's ~900 doubles a root (~64 arrays, 8 step factors, 64 rows of phases), the
     # panel buffer (position_observables' panels later fit in as many bytes), ~400
-    # doubles a row BLAS packs, one block's snapshot phases and their long-double
-    # rounding (~14 doubles each), all output.
+    # doubles a row BLAS packs, one block's snapshot phases and the rounding of their
+    # products (~14 doubles each), all output.
     check_memory(8 * 900 * min(n_blocks, max(1, _CHUNK_ROOTS // (L + 1))) * (L + 1)
                  + _PANEL_BYTES + 8 * (L + 1) * (400 + 14 * n_snapshots)
                  + 16 * n_blocks * (n_times + n_snapshots * L),
@@ -431,7 +431,7 @@ def _inverse_panels(modes: _BlockModes, buffer: np.ndarray):
 
 def _phi(modes: _BlockModes, snapshots: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     """phi (n_snap, L) from the excited emitter, whose overlap with eigenstate n is sqrt(w_n);
-    its phases are psi_e's, turned by their long-double rounding.  `buffer` holds the panels."""
+    its phases are psi_e's, turned by the exact rounding of E t.  `buffer` holds the panels."""
     # exp(-i t E) over (t, E) keeps each phase's bits with the long axis innermost.
     phase = _phases(snapshots, modes.energy).T.copy()
     phase *= modes.weight[:, None]
@@ -468,17 +468,28 @@ def _psi_e(times: np.ndarray, energies, weights) -> np.ndarray:
     return psi
 
 
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split x = hi + lo into 26-bit halves, taken at x 2^-28 so that no |x| up
+    to 1.79e308 overflows (exact for |x| >= 2^-994, where x 2^-28 is normal)."""
+    c = x * 2.0**-28 * 134217729.0  # (x 2^-28)(2^27 + 1)
+    hi = (c - (c - x * 2.0**-28)) * 2.0**28
+    return hi, x - hi
+
+
 def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """exp(-i a_j b_k) over (j, k), from one real product and its cos and sin, turned by
-    the product's long-double rounding where long double is wider than double."""
+    """exp(-i a_j b_k) over (j, k) from fl(a b)'s cos and sin, turned by the rounding a b -
+    fl(a b), exact in doubles (Dekker's TwoProduct, Numer. Math. 18, 224 (1971))."""
     arg = np.multiply.outer(a, b)
     out = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=out.real)
     np.sin(arg, out=out.imag)
     np.negative(out.imag, out=out.imag)
-    err = np.multiply.outer(a.astype(np.longdouble), b.astype(np.longdouble))
-    err -= arg
-    err = err.astype(float)
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    err = np.multiply.outer(a_hi, b_hi)
+    err -= arg  # each step is exact: the partial products have at most 52 bits
+    err += np.multiply.outer(a_hi, b_lo)
+    err += np.multiply.outer(a_lo, b_hi)
+    err += np.multiply.outer(a_lo, b_lo)
     out *= np.cos(err) - 1j * np.sin(err)  # exp(-i err), on the unit circle at any E t
     return out
 

@@ -287,6 +287,8 @@ def wavepacket_scattering_oracle(params: ModelParams, k0: float, p0: float,
         np.sum(np.abs(a_ph * b_qb[grid_sub_index(m_idx[s:s + rows, None], m_idx, L)]) ** 2,
                axis=1) for s in range(0, L, rows)])
     keep = np.flatnonzero(block_w > 1e-16 * block_w.max())
+    # phi0 and phi_t (complex), diag and |phi_t|: 48 bytes a kept (K, p) at the peak.
+    check_memory(48 * keep.size * L, f"{keep.size} wavepacket blocks", "reduce L or sigma_p")
     phi0 = a_ph[None, :] * b_qb[grid_sub_index(keep[:, None], m_idx[None, :], L)]
     norm = math.sqrt(float(np.sum(np.abs(phi0) ** 2)))
     phi0 /= norm

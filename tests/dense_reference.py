@@ -1,8 +1,10 @@
 """Dense references shared by the test modules: the block's eigenvalues, the block in
 long double, long-double refined emitter weights, a hypothesis strategy of (params, K)
-blocks, the position observables from the whole L x L joint amplitude, and the
-wavefront of a position profile; and a fresh interpreter with its peak RSS."""
+blocks, the position observables from the whole L x L joint amplitude, the
+wavefront of a position profile and phases from exact products; and a fresh
+interpreter with its peak RSS."""
 
+import decimal
 import math
 import os
 import subprocess
@@ -18,14 +20,16 @@ from wqed_mobile.dynamics import block_hamiltonian
 from wqed_mobile.model import grid_add_index
 
 #: Source of peak(), the interpreter's own peak RSS in KiB: VmHWM, as Linux starts a
-#: child's ru_maxrss at its parent's RSS at the fork.
+#: child's ru_maxrss at its parent's RSS at the fork; elsewhere ru_maxrss, which macOS
+#: counts in bytes.
 PEAK_KIB = (
     "import resource, sys\n"
     "def peak():  # KiB\n"
     "    try:\n"
     "        return int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
     "    except OSError:\n"
-    "        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n")
+    "        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "        return rss // 1024 if sys.platform == 'darwin' else rss\n")
 
 
 def run_python(code: str, cwd) -> str:
@@ -33,6 +37,21 @@ def run_python(code: str, cwd) -> str:
     src = str(Path(wqed_mobile.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True, cwd=cwd).stdout
+
+
+#: 2 pi to 40 significant digits.
+_TWO_PI = decimal.Decimal("6.283185307179586476925286766559005768394")
+
+
+def exact_phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(-i a_j b_k) over (j, k), each product taken in 40-digit decimals and reduced
+    mod 2 pi there: exact to about 1e-16 rad for |a b| up to 1e20."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        bs = [decimal.Decimal(v) for v in np.asarray(b, dtype=float).tolist()]
+        turns = [[float(u * v % _TWO_PI) for v in bs]
+                 for u in map(decimal.Decimal, np.asarray(a, dtype=float).tolist())]
+    return np.exp(-1j * np.array(turns).reshape(len(a), len(b)))
 
 
 def dense_block_eigenvalues(params: ModelParams, K: float) -> np.ndarray:

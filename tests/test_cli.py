@@ -18,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import wqed_mobile
-from wqed_mobile import scattering
-from wqed_mobile.cli import COMMANDS, main
+from wqed_mobile import ModelParams, NumericalFailure, scattering
+from wqed_mobile.cli import COMMANDS, NORM_TOL, _check_emission, main
 from wqed_mobile.dynamics import LocalizedRun
 
 
@@ -61,12 +61,19 @@ def test_map_transmission_csv_schema_and_determinism(tmp_path, monkeypatch):
 
 
 def test_map_recoil_alias(tmp_path, monkeypatch):
+    # map-recoil is another name of map-transmission: the same bytes, written
+    # under its own name, which the sidecar echoes.
     monkeypatch.chdir(tmp_path)
-    assert main(["map-recoil", "--Jp", "0.1", "--Omega", "0.5",
-                 "--nk", "5", "--np", "5"]) == 0
+    flags = ["--Jp", "0.1", "--Omega", "0.5", "--nk", "5", "--np", "5"]
+    assert main(["map-recoil"] + flags) == 0
+    assert main(["map-transmission"] + flags) == 0
     header, rows = _read_csv(tmp_path / "map-recoil.csv")
     assert "dE_qb" in header
     assert len(rows) == 25
+    assert ((tmp_path / "map-recoil.csv").read_bytes()
+            == (tmp_path / "map-transmission.csv").read_bytes())
+    assert json.loads((tmp_path / "map-recoil.json").read_text())["command"] == "map-recoil"
+    assert [c.name for c in COMMANDS if "map-recoil" in c.aliases] == ["map-transmission"]
 
 
 def test_bound_energies(tmp_path, monkeypatch):
@@ -139,9 +146,9 @@ def test_emit_localized(tmp_path, monkeypatch):
 
 
 def test_emit_localized_at_astronomical_times_and_sites(tmp_path, monkeypatch):
-    # At t = 1e20, E t is far past long double's resolution and the phases
-    # are not resolved, so it exits 3 and writes nothing; 10**400, beyond any
-    # float, is a site (that of 0 on L = 8).
+    # At t = 1e20, max|E| t u = 16 rad is far past the phase guard's 1e-9, so
+    # it exits 3 and writes nothing; 10**400, beyond any float, is a site (that
+    # of 0 on L = 8).
     monkeypatch.chdir(tmp_path)
     assert main(["emit-localized", "--L", "8", "--nt", "3", "--tmax", "1e20"]) == 3
     assert list(tmp_path.iterdir()) == []
@@ -154,18 +161,27 @@ def test_emit_localized_at_astronomical_times_and_sites(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    # psi_e's stepped phases and phi's direct ones part by |E t| 2^-64 a step.
+    # The norm holds, but max|E| t u = 0.17 rad.
     ["emit-fixed-k", "--K", "0.5", "--Jp", "0.5", "--Omega", "0.2", "--L", "64",
-     "--tmax", "1e18", "--nt", "5"],  # drift 0.0145
+     "--tmax", "1e18", "--nt", "5"],
     # The norm holds, but max|E| t u = 1.6e-7 rad.
     ["emit-localized", "--L", "8", "--nt", "3", "--tmax", "1e12"],
 ])
 def test_emission_that_loses_its_norm_exit_3(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 3
-    message = {"1e18": "loses its norm: max|norm - 1|", "1e12": "(phase resolution)"}
-    assert message[argv[argv.index("--tmax") + 1]] in capsys.readouterr().err
+    assert "(phase resolution)" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_check_emission_rejects_a_norm_drift():
+    # No run at hand loses its norm, so the guard is fed one: a drift at
+    # NORM_TOL passes, 2e-9 and NaN do not, whatever the phases.
+    params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=8)
+    _check_emission(np.array([1.0, 1.0 - NORM_TOL]), params, 10.0)
+    for norms in ([1.0, 1.0 + 2e-9], [1.0, math.nan]):
+        with pytest.raises(NumericalFailure, match=r"loses its norm: max\|norm - 1\| = "):
+            _check_emission(np.array(norms), params, 10.0)
 
 
 def test_emission_at_a_resolved_huge_time_exits_0(tmp_path, monkeypatch):
@@ -369,8 +385,19 @@ def test_negative_snapshot_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["emit-localized", "--L", "8", "--tmax", "10", "--nt", "3",
                  "--snapshot", "-1"]) == 2
-    assert "--snapshot must be >= 0 (got -1.0)" in capsys.readouterr().err
+    assert "--snapshot must lie in [0, --tmax 10.0] (got -1.0)" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_snapshot_past_tmax_exits_2(tmp_path, monkeypatch, capsys):
+    # A snapshot after --tmax would add a _pe.csv row past the tmax the sidecar echoes.
+    monkeypatch.chdir(tmp_path)
+    assert main(["emit-localized", "--L", "8", "--tmax", "10", "--nt", "3",
+                 "--snapshot", "20"]) == 2
+    assert "--snapshot must lie in [0, --tmax 10.0] (got 20.0)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["emit-localized", "--L", "8", "--tmax", "10", "--nt", "3",
+                 "--snapshot", "10"]) == 0
 
 
 def test_every_command_has_help(capsys):
@@ -379,11 +406,12 @@ def test_every_command_has_help(capsys):
     assert top.value.code == 0
     listing = capsys.readouterr().out
     for cmd in COMMANDS:
-        assert cmd.name in listing
-        with pytest.raises(SystemExit) as sub:
-            main([cmd.name, "--help"])
-        assert sub.value.code == 0
-        assert f"usage: wqed {cmd.name}" in capsys.readouterr().out
+        for name in (cmd.name,) + cmd.aliases:
+            assert name in listing
+            with pytest.raises(SystemExit) as sub:
+                main([name, "--help"])
+            assert sub.value.code == 0
+            assert f"usage: wqed {cmd.name}" in capsys.readouterr().out  # an alias's too
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):

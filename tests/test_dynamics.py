@@ -33,8 +33,8 @@ from wqed_mobile import dynamics
 from wqed_mobile.dynamics import _chunk_modes, block_hamiltonian
 from wqed_mobile.oracle import dense_block_diagonalize
 
-from dense_reference import (PEAK_KIB, blocks, position_reference, refined_dense_weights,
-                             run_python, wavefront_position)
+from dense_reference import (PEAK_KIB, blocks, exact_phases, position_reference,
+                             refined_dense_weights, run_python, wavefront_position)
 
 FIG_EMISSION = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=400)
 
@@ -649,37 +649,44 @@ def test_one_pole_weights_at_huge_detuning(J, delta):
     assert abs(weight.sum() - 1.0) <= 1e-15
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
-                    reason="long double is no wider than double: E t keeps its rounding")
 def test_stepped_phases_match_exact_phases():
     # 2001 samples to t = 2000 and two times off the grid: every exp(-iEt),
-    # stepped or fresh, is within 1e-13 of exp(-iEt) formed in long double,
-    # whose product E t carries no double rounding (up to 4.5e-13 at
-    # E t = 6000).  The two off the grid start no steps and are turned by
-    # their rounding all the same.
+    # stepped or fresh, is within 1e-13 of exp(-iEt) from the exact product
+    # E t (the double product's rounding alone reaches 4.5e-13 at E t = 6000).
+    # The two off the grid start no steps and are turned by their rounding
+    # all the same.
     off = np.array([49.3, 1234.567])
     times = np.sort(np.concatenate((np.linspace(0.0, 2000.0, 2001), off)))
     E = np.random.default_rng(5).uniform(-3.0, 3.0, 300)
-    exact = np.exp(-1j * np.multiply.outer(times.astype(np.longdouble), E))
     phases = dynamics._psi_e(times, list(E[:, None]), [np.ones(1)] * E.size)
-    assert np.abs(phases - exact).max() <= 1e-13
+    assert np.abs(phases - exact_phases(times, E)).max() <= 1e-13
+
+
+def test_phases_take_each_product_exactly():
+    # Every row, turned by the exact rounding of its product, keeps exp(-i a b)
+    # to a few eps even where a b (up to 3e20) is far past double's
+    # resolution (a long-double product is up to 2 rad off there).
+    a = np.geomspace(1e-3, 1e20, 47)
+    b = np.random.default_rng(7).uniform(-3.0, 3.0, 100)
+    assert np.abs(dynamics._phases(a, b) - exact_phases(a, b)).max() <= 8 * np.finfo(float).eps
 
 
 def test_phases_stay_on_the_unit_circle():
-    # Every row, turned by its long-double rounding, keeps |exp(-i a b)| = 1 to
-    # rounding even where a b (up to 3e20) is far past double's resolution.
+    # Every row keeps |exp(-i a b)| = 1 to rounding at any a b, and Veltkamp's
+    # split overflows at no factor up to 1.79e308.
     a = np.geomspace(1e-3, 1e20, 47)
     b = np.random.default_rng(7).uniform(-3.0, 3.0, 100)
     assert np.abs(np.abs(dynamics._phases(a, b)) - 1.0).max() <= 4 * np.finfo(float).eps
+    with np.errstate(over="raise", invalid="raise"):
+        huge = dynamics._phases(np.array([1.79e308]), np.array([1e-300, -3e-299]))
+    assert np.abs(np.abs(huge) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
-                    reason="long double is no wider than double: E t keeps its rounding")
 @pytest.mark.parametrize("t", [1e6, 1e7, 1e8])
 def test_norm_holds_on_a_grid_without_steps(t):
     # geomspace times recur no step, so psi_e takes every phase fresh; with the
     # rounding of E t left in psi_e's phases but not in phi's, the norm drifted
-    # by 4.6e-12, 5.8e-11 and 7.0e-10 here.
+    # by 4.6e-12, 5.8e-11 and 7.0e-10 here.  Both take the exact product.
     params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=64)
     traj = evolve_fixed_K(params, 0.5, np.geomspace(t / 1e4, t, 5))
     assert np.abs(traj.norms() - 1.0).max() <= 1e-12

@@ -7,6 +7,7 @@ which must agree once the packets are narrow.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from wqed_mobile import (
     wavepacket_scattering_oracle,
     wrap,
 )
-from wqed_mobile import oracle
+from wqed_mobile import errors, oracle
 from wqed_mobile.dynamics import block_hamiltonian
 from wqed_mobile.errors import SizeError
 from wqed_mobile.model import grid_sub_index
@@ -314,6 +315,31 @@ def test_wavepacket_blocks_equal_the_full_construction(monkeypatch):
     phi0 /= math.sqrt(float(np.sum(np.abs(phi0) ** 2)))
     assert res.n_blocks == phi0.shape[0] < L
     assert np.array_equal(started[0], phi0)
+
+
+def test_wavepacket_checks_the_budget_before_evolving(monkeypatch):
+    # The call charges 48 bytes a kept (K, p): phi0 and phi_t (complex), diag and
+    # |phi_t|, the peak that tracemalloc sees (48.2-48.4 bytes at L = 1000-2000).  At
+    # L = 20,000 and sigma_p = 0.05 that is 3.7 GB, past the 2 GiB limit.
+    def evolve(*args):
+        raise AssertionError("blocks evolved before the budget check")
+
+    params = ModelParams(J=1.0, Jp=0.1, Omega=0.5, L=1000)
+    tracemalloc.start()
+    try:
+        res = wavepacket_scattering_oracle(params, 0.5, math.pi / 2, 0.05, 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = 48 * res.n_blocks * params.L
+    assert need <= peak <= 1.05 * need
+    monkeypatch.setattr(oracle, "chebyshev_evolve_blocks", evolve)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
+    with pytest.raises(SizeError, match=f"{res.n_blocks} wavepacket blocks"):
+        wavepacket_scattering_oracle(params, 0.5, math.pi / 2, 0.05, 20.0)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
+    with pytest.raises(AssertionError, match="budget check"):
+        wavepacket_scattering_oracle(params, 0.5, math.pi / 2, 0.05, 20.0)
 
 
 def test_wavepacket_static_full_reflection():
