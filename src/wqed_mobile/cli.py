@@ -139,8 +139,7 @@ _MODEL_FLAGS = (
     ("--out", dict(type=str, default=None,
                    help="output prefix (default: the subcommand name)")),
     ("--threads", dict(type=int, default=None,
-                       help="validated and echoed only: K blocks run in one "
-                            "loop (WQED_THREADS caps it)")),
+                       help="echoed in the sidecar only: K blocks run in one loop")),
 )
 
 
@@ -194,8 +193,9 @@ def _time_grid(args) -> np.ndarray:
 NORM_TOL = 1e-9
 #: Largest rounding, in radians, that an emission run's phases E_n t may carry.
 PHASE_TOL = 1e-9
-#: Unit roundoff charged to each E_n t: x86 long double's, so all platforms exit alike.
-_PHASE_UNIT = 2.0**-64
+#: Relative error charged to each E_n t: double's unit roundoff, as each E_n is a double
+#: and carries at least half an ulp; the product E_n t itself is taken exactly.
+_PHASE_UNIT = 2.0**-53
 
 
 def _check_emission(norms: np.ndarray, params: ModelParams, t_max: float) -> None:
@@ -278,7 +278,7 @@ def _writes(compute):
                     raise ParameterError(f"--{name} must be finite (got {v})")
         params = ModelParams(J=args.J, Jp=args.Jp, Delta=args.Delta,
                              Omega=args.Omega, L=args.L)
-        threads = resolve_threads(args.threads)  # a malformed WQED_THREADS exits 2 here
+        threads = resolve_threads(args.threads)
         t0 = time.perf_counter()
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             tables, fields = compute(args, params)

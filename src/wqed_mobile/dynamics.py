@@ -12,9 +12,11 @@ Green's function (Economou, Green's Functions in Quantum Physics).  So the
 eigenvalues cost O(L) per block, and only phi's product with the O(L^2)
 matrix 1 / (E_n - pole), which is formed a column panel at a time in one
 reused buffer of fixed size.  Every block starts from the excited emitter
-with the field empty; every phase exp(-iEt) is turned by the rounding of the
-product E t, which Veltkamp's split and Dekker's TwoProduct give exactly in
-doubles, and psi_e's are stepped by exp(-iE dt) over a recurring exact dt.
+with the field empty.  Each phase w_n exp(-iE_n t) is evaluated once, in
+psi_e's rows, and phi reads those rows at its snapshots: a row is turned by
+the rounding of the product E t, which Veltkamp's split and Dekker's
+TwoProduct give exactly in doubles, or stepped by exp(-iE dt) from the row
+before over a recurring exact dt.
 
 An emitter localized at site x0 is the uniform superposition
 c_K = e^{i K x0} / sqrt(L) of the blocks' excited states; position-space
@@ -54,16 +56,9 @@ from .model import (
 
 
 def resolve_threads(requested: int | None = None) -> int:
-    """The --threads request capped by WQED_THREADS; the CLI validates and echoes
-    it, but K blocks evolve in one loop."""
-    n = requested if requested else (os.cpu_count() or 1)
-    cap = os.environ.get("WQED_THREADS")
-    if cap:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            raise ParameterError(f"WQED_THREADS={cap!r} is not an integer") from None
-    return max(1, n)
+    """The --threads request, else the CPU count; the CLI echoes it, but K blocks
+    evolve in one loop."""
+    return max(1, requested or os.cpu_count() or 1)
 
 
 def block_hamiltonian(params: ModelParams, K: float) -> np.ndarray:
@@ -89,12 +84,13 @@ def _time_index(times: np.ndarray, t: float, what: str = "sampled times") -> int
 
 
 def _check_block_budget(L: int, n_blocks: int, n_times: int, n_snapshots: int):
-    # A chunk's ~900 doubles a root (~64 arrays, 8 step factors, 64 rows of phases), the
-    # panel buffer (position_observables' panels later fit in as many bytes), ~400
-    # doubles a row BLAS packs, one block's snapshot phases and the rounding of their
-    # products (~14 doubles each), all output.
-    check_memory(8 * 900 * min(n_blocks, max(1, _CHUNK_ROOTS // (L + 1))) * (L + 1)
-                 + _PANEL_BYTES + 8 * (L + 1) * (400 + 14 * n_snapshots)
+    # A chunk's ~900 doubles a root (~64 arrays, 8 step factors, 64 rows of phases) and its
+    # phase rows at the snapshots (16 bytes a root and snapshot), the panel buffer (which
+    # position_observables' panels later fit in), ~400 doubles a row BLAS packs, one block's
+    # phi and temporaries (32 bytes a row and snapshot by tracemalloc, 48 charged), all output.
+    roots = min(n_blocks, max(1, _CHUNK_ROOTS // (L + 1))) * (L + 1)
+    check_memory(8 * roots * (900 + 2 * n_snapshots) + _PANEL_BYTES
+                 + 8 * (L + 1) * (400 + 6 * n_snapshots)
                  + 16 * n_blocks * (n_times + n_snapshots * L),
                  "K-block work", "reduce L, the sample count or the snapshots")
 
@@ -429,24 +425,22 @@ def _inverse_panels(modes: _BlockModes, buffer: np.ndarray):
                           modes.tau, (row[a:b], col[a:b] - j0, val[a:b]))
 
 
-def _phi(modes: _BlockModes, snapshots: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """phi (n_snap, L) from the excited emitter, whose overlap with eigenstate n is sqrt(w_n);
-    its phases are psi_e's, turned by the exact rounding of E t.  `buffer` holds the panels."""
-    # exp(-i t E) over (t, E) keeps each phase's bits with the long axis innermost.
-    phase = _phases(snapshots, modes.energy).T.copy()
-    phase *= modes.weight[:, None]
-    bright = np.empty((modes.D.size, snapshots.size), dtype=complex)
+def _phi(modes: _BlockModes, phase: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """phi (n_snap, L) from the excited emitter, whose overlap with eigenstate n is sqrt(w_n):
+    `phase` is psi_e's phase rows w_n exp(-i E_n t) over (n, snapshot); `buffer` the panels."""
+    bright = np.empty((modes.D.size, phase.shape[1]), dtype=complex)
     for j0, panel in _inverse_panels(modes, buffer):
         # The real panel times the complex phases, as one real product.
         np.matmul(panel.T, phase.view(float), out=bright.view(float)[j0:j0 + panel.shape[1]])
-    coupled = np.zeros((modes.pole.size, snapshots.size), dtype=complex)
+    coupled = np.zeros((modes.pole.size, phase.shape[1]), dtype=complex)
     coupled[modes.bright] = bright
     coupled *= modes.coupling
     return coupled[modes.group].T
 
 
-def _psi_e(times: np.ndarray, energies, weights) -> np.ndarray:
-    """sum_n w_n exp(-i E_n t) per block (energy and weight arrays) at every time.
+def _psi_e(times: np.ndarray, energies, weights, keep) -> tuple[np.ndarray, np.ndarray]:
+    """sum_n w_n exp(-i E_n t) per block (energy and weight arrays) at every time, and its
+    phase rows w_n exp(-i E_n t) over (all blocks' n, time indices `keep`), which phi reads.
     A time (not every 64th) an exact dt after the last steps by exp(-i E dt) if dt recurs
     among the 8 commonest; the rest take _phases, 64 at once."""
     energy, dt = np.concatenate(energies), np.diff(times, prepend=0.0)
@@ -457,15 +451,20 @@ def _psi_e(times: np.ndarray, energies, weights) -> np.ndarray:
     fresh = np.flatnonzero(~(step & np.isin(dt, list(factors))))
     ends, starts = np.r_[fresh[1:], times.size], np.cumsum([0] + [e.size for e in energies[:-1]])
     psi = np.empty((times.size, len(energies)), dtype=complex)
+    order = np.argsort(keep, kind="stable")  # time j's row is kept[:, order[at[j]:at[j + 1]]]
+    at = np.searchsorted(np.sort(keep), np.arange(times.size + 1))
+    kept = np.empty((energy.size, order.size), dtype=complex)
     for i in range(0, fresh.size, 64):
         rows = _phases(times[fresh[i:i + 64]], energy)
         rows *= np.concatenate(weights)
         psi[fresh[i:i + 64]] = np.add.reduceat(rows, starts, axis=1)
         for row, j0, j1 in zip(rows, fresh[i:i + 64], ends[i:i + 64]):
+            kept[:, order[at[j0]:at[j0 + 1]]] = row[:, None]
             for j in range(j0 + 1, j1):  # the steps up to the next fresh time
                 row *= factors[dt[j]]
                 psi[j] = np.add.reduceat(row, starts)
-    return psi
+                kept[:, order[at[j]:at[j + 1]]] = row[:, None]
+    return psi, kept
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -511,9 +510,9 @@ def evolve_fixed_K(params: ModelParams, K: float, times) -> KBlockTrajectory:
     times = _checked_times(times)
     _check_block_budget(params.L, 1, times.size, times.size)
     modes = next(_chunk_modes(params, [K]))
-    psi_e = _psi_e(times, [modes.energy], [modes.weight])[:, 0]
-    phi = _phi(modes, times, np.empty(_PANEL_BYTES // 8))
-    return KBlockTrajectory(K=float(K), times=times, psi_e=psi_e, phi=phi)
+    psi_e, phase = _psi_e(times, [modes.energy], [modes.weight], np.arange(times.size))
+    phi = _phi(modes, phase, np.empty(_PANEL_BYTES // 8))
+    return KBlockTrajectory(K=float(K), times=times, psi_e=psi_e[:, 0], phi=phi)
 
 
 def photon_spectrum_and_directionality(traj: KBlockTrajectory, t: float
@@ -715,10 +714,10 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
         raise ParameterError(f"x0 must be an integer site (got {x0!r})")
     x0 = int(x0)
     times = _checked_times(times)
-    snapshots = times if snapshots is None else times[
-        [_time_index(times, t) for t in np.atleast_1d(snapshots)]]
+    keep = np.arange(times.size) if snapshots is None else np.array(
+        [_time_index(times, t) for t in np.atleast_1d(snapshots)], dtype=np.intp)
     L = params.L
-    _check_block_budget(L, L, times.size, snapshots.size)
+    _check_block_budget(L, L, times.size, keep.size)
     kgrid = momentum_grid(L)
     n = np.arange(L)
     # e^{i K_n x0} = (-1)^x0 e^{2 pi i (n x0 mod L) / L}, exact for any integer x0.
@@ -730,20 +729,20 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
     serves = ({0: [(m, n) for m in n]} if params.Jp == 0 else
               {m: [(flip[m], flip), (m, n)] for m in range(L // 2 + 1)})
     psi_e = np.empty((times.size, L), dtype=complex)
-    phi = np.empty((snapshots.size, L, L), dtype=complex)
+    phi = np.empty((keep.size, L, L), dtype=complex)
     sources, buffer = list(serves), np.empty(_PANEL_BYTES // 8)
     per = max(1, _CHUNK_ROOTS // (L + 1))  # blocks per batched solve
     for chunk in (sources[i:i + per] for i in range(0, len(sources), per)):
-        solved = []
-        for source, modes in zip(chunk, _chunk_modes(params, kgrid[chunk])):
-            ph = _phi(modes, snapshots, buffer)
+        solved = list(_chunk_modes(params, kgrid[chunk]))
+        psi, phase = _psi_e(times, [m.energy for m in solved], [m.weight for m in solved], keep)
+        ends = np.cumsum([m.energy.size for m in solved])
+        for source, modes, psi_k, end in zip(chunk, solved, psi.T, ends):
+            ph = _phi(modes, phase[end - modes.energy.size:end], buffer)
             for m, order in serves[source]:
+                psi_e[:, m] = psi_k
                 phi[:, m, :] = ph[:, order]
-            solved.append((modes.energy, modes.weight))
-        for source, psi in zip(chunk, _psi_e(times, *zip(*solved)).T):
-            psi_e[:, [m for m, _ in serves[source]]] = psi[:, None]
     return LocalizedRun(params=params, x0=x0, times=times, c=c,
-                        psi_e=psi_e, phi=phi, snapshots=snapshots)
+                        psi_e=psi_e, phi=phi, snapshots=times[keep])
 
 
 @dataclass(frozen=True)

@@ -658,7 +658,7 @@ def test_stepped_phases_match_exact_phases():
     off = np.array([49.3, 1234.567])
     times = np.sort(np.concatenate((np.linspace(0.0, 2000.0, 2001), off)))
     E = np.random.default_rng(5).uniform(-3.0, 3.0, 300)
-    phases = dynamics._psi_e(times, list(E[:, None]), [np.ones(1)] * E.size)
+    phases, _ = dynamics._psi_e(times, list(E[:, None]), [np.ones(1)] * E.size, [])
     assert np.abs(phases - exact_phases(times, E)).max() <= 1e-13
 
 
@@ -682,11 +682,29 @@ def test_phases_stay_on_the_unit_circle():
     assert np.abs(np.abs(huge) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
+def test_each_phase_row_is_evaluated_once(monkeypatch):
+    # phi reads psi_e's rows, so _phases takes only psi_e's: over 201 times a
+    # fixed-K run takes 4 fresh rows and 1 step factor (phi's own evaluation
+    # took all 201 again), and a localized run the same rows for any snapshots.
+    rows, phases = [], dynamics._phases
+    monkeypatch.setattr(dynamics, "_phases", lambda a, b: rows.append(a.size) or phases(a, b))
+    params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=40)
+    evolve_fixed_K(params, 0.5, np.linspace(0.0, 200.0, 201))
+    assert sum(rows) <= 5
+    counts = []
+    for snapshots in (None, [10.0], [2.0, 10.0]):
+        rows.clear()
+        evolve_localized(params, 0, np.linspace(0.0, 10.0, 11), snapshots)
+        counts.append(sum(rows))
+    assert counts == [2, 2, 2]
+
+
 @pytest.mark.parametrize("t", [1e6, 1e7, 1e8])
 def test_norm_holds_on_a_grid_without_steps(t):
-    # geomspace times recur no step, so psi_e takes every phase fresh; with the
-    # rounding of E t left in psi_e's phases but not in phi's, the norm drifted
-    # by 4.6e-12, 5.8e-11 and 7.0e-10 here.  Both take the exact product.
+    # geomspace times recur no step, so psi_e takes every phase fresh; when phi
+    # evaluated its own phases and left the rounding of E t in psi_e's alone,
+    # the norm drifted by 4.6e-12, 5.8e-11 and 7.0e-10 here.  Now phi reads
+    # psi_e's rows, so both share every phase bit.
     params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=64)
     traj = evolve_fixed_K(params, 0.5, np.geomspace(t / 1e4, t, 5))
     assert np.abs(traj.norms() - 1.0).max() <= 1e-12
