@@ -43,6 +43,7 @@ from .model import (
 
 #: Acceptable residual |F(E)| relative to max(1, |E|, |E_{K,Delta}|) after polishing.
 ROOT_TOL = 1e-12
+FLATNESS_HALF_WINDOW, FLATNESS_N_POINTS = 0.5, 201  # flatness_report's window in K - pi
 
 
 @dataclass(frozen=True)
@@ -242,9 +243,9 @@ def bound_wavefunctions(params: ModelParams, bound: BoundState, x_max: int
     """
     if x_max < 0:
         raise ParameterError(f"x_max must be >= 0 (got {x_max})")
-    n_x = 2 * x_max + 1  # about six complex arrays per site, output columns included
-    check_memory(n_x * 6 * 16, f"the wavefunction on {n_x} sites", "reduce x_max")
     L = params.L
+    n_x = 2 * x_max + 1  # six complex arrays a site (output columns included), 32 B a momentum
+    check_memory(n_x * 6 * 16 + L * 32, f"the wavefunction on {n_x} sites", "reduce x_max or L")
     z = complex(z_of_K(params, bound.K))
     # E - omega_tilde(K, p) = side edge_offset + 2|z| (side + cos(p + arg z)), the
     # bracket in half-angle form: no cancellation where p sits on the band extremum.
@@ -291,24 +292,23 @@ class BandScan:
     flatness: FlatnessReport
 
 
-def flatness_report(params: ModelParams, half_window: float = 0.5,
-                    n_points: int = 201) -> FlatnessReport:
+def flatness_report(params: ModelParams) -> FlatnessReport:
     """Quantify quartic flattening of the upper bound band around K = pi.
 
     c2 and c4 are the least-squares coefficients of
-    E_{pi+u,+} - E_{pi,+} = c2 u^2 + c4 u^4 over n_points values of u in
-    [-half_window, half_window], not the Taylor coefficients: higher orders
+    E_{pi+u,+} - E_{pi,+} = c2 u^2 + c4 u^4 over FLATNESS_N_POINTS values of u
+    in [-FLATNESS_HALF_WINDOW, FLATNESS_HALF_WINDOW], not the Taylor ones: higher orders
     leak into them, strongly at weak coupling where the band is not
     polynomial over the window.  The Taylor coefficient of u^2 vanishes when
     (E^2 - 4|z(pi)|^2)^{3/2} = 2 J Omega^2 at the K = pi energy E.
     """
-    u = np.linspace(-half_window, half_window, n_points)
+    u = np.linspace(-FLATNESS_HALF_WINDOW, FLATNESS_HALF_WINDOW, FLATNESS_N_POINTS)
     K = math.pi + np.concatenate(([0.0], u))
     e = band_halfwidth(params, K) + _bound_offsets(params, K, +1)
     basis = np.column_stack([u**2, u**4])
     coef, *_ = np.linalg.lstsq(basis, e[1:] - e[0], rcond=None)
     return FlatnessReport(c2=float(coef[0]), c4=float(coef[1]),
-                          half_window=half_window, n_points=n_points)
+                          half_window=FLATNESS_HALF_WINDOW, n_points=FLATNESS_N_POINTS)
 
 
 def band_scan(params: ModelParams, n_K: int) -> BandScan:

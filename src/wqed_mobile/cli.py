@@ -3,8 +3,8 @@
 Every data-producing subcommand writes CSV files (UTF-8, comma-separated,
 header row, LF line endings, 12-significant-digit floats, fixed row order,
 so repeated runs with identical flags produce byte-identical files) plus a
-JSON metadata sidecar carrying the full parameter echo, grid sizes, package
-version, and wall time.
+JSON metadata sidecar carrying the echo of the model flags the subcommand
+reads (it takes no others), grid sizes, package version, and wall time.
 
 Exit codes: 0 success, 2 invalid parameters (message names the violated
 invariant), 3 numerical failure (band-edge singularity, missing bound
@@ -120,7 +120,7 @@ def write_sidecar(path: str, args: argparse.Namespace, params: ModelParams,
     meta = {
         "version": __version__,
         "command": args.command,
-        "params": asdict(params),
+        "params": {name: getattr(params, name) for name in args.model},
         "wall_time_s": time.perf_counter() - t_start,
     }
     meta.update(_jsonable(extra))
@@ -129,13 +129,16 @@ def write_sidecar(path: str, args: argparse.Namespace, params: ModelParams,
         fh.write("\n")
 
 
+#: ModelParams field -> its flag; a subcommand takes the fields its `model` names.
+_MODEL_FLAGS = {
+    "J": ("--J", dict(type=float, default=1.0, help="photon hopping (energy unit)")),
+    "Jp": ("--Jp", dict(type=float, default=0.0, help="emitter hopping J'")),
+    "Delta": ("--Delta", dict(type=float, default=0.0, help="emitter splitting")),
+    "Omega": ("--Omega", dict(type=float, default=1.0, help="emitter-photon coupling")),
+    "L": ("--L", dict(type=int, default=400, help="lattice sites / momentum modes")),
+}
 #: Flags every subcommand takes: (flag, add_argument keywords).
-_MODEL_FLAGS = (
-    ("--J", dict(type=float, default=1.0, help="photon hopping (energy unit)")),
-    ("--Jp", dict(type=float, default=0.0, help="emitter hopping J'")),
-    ("--Delta", dict(type=float, default=0.0, help="emitter splitting")),
-    ("--Omega", dict(type=float, default=1.0, help="emitter-photon coupling")),
-    ("--L", dict(type=int, default=400, help="lattice sites / momentum modes")),
+_RUN_FLAGS = (
     ("--out", dict(type=str, default=None,
                    help="output prefix (default: the subcommand name)")),
     ("--threads", dict(type=int, default=None,
@@ -276,8 +279,7 @@ def _writes(compute):
             for v in value if isinstance(value, list) else [value]:
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ParameterError(f"--{name} must be finite (got {v})")
-        params = ModelParams(J=args.J, Jp=args.Jp, Delta=args.Delta,
-                             Omega=args.Omega, L=args.L)
+        params = ModelParams(**{name: getattr(args, name) for name in args.model})
         threads = resolve_threads(args.threads)
         t0 = time.perf_counter()
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -337,13 +339,14 @@ def selfcheck(args: argparse.Namespace) -> int:
 
 
 class Command(NamedTuple):
-    """One subcommand: its name, help line, extra flags, its runner and other names."""
+    """One subcommand: its name, help line, runner, extra flags, other names, model flags."""
 
     name: str
     help: str
     run: Callable[[argparse.Namespace], int]
     flags: tuple = ()
     aliases: tuple = ()
+    model: tuple = tuple(_MODEL_FLAGS)
 
 
 _MAP_FLAGS = (
@@ -351,20 +354,21 @@ _MAP_FLAGS = (
     ("--np", dict(type=int, default=101, help="photon-momentum grid size")),
 )
 _K_FLAG = ("--K", dict(type=float, required=True, help="total momentum"))
+_NO_L = ("J", "Jp", "Delta", "Omega")  # scattering and bound states never read L
 
 COMMANDS = (
     Command("scatter", "single (k_i, p_i) scattering amplitudes", _writes(_scatter), (
         ("--ki", dict(type=float, required=True, help="initial emitter momentum")),
-        ("--pi", dict(type=float, required=True, help="initial photon momentum")))),
+        ("--pi", dict(type=float, required=True, help="initial photon momentum"))), model=_NO_L),
     Command("map-transmission", "transmission and recoil-energy map over (k_i, p_i)",
-            _writes(_map), _MAP_FLAGS, ("map-recoil",)),
+            _writes(_map), _MAP_FLAGS, ("map-recoil",), model=_NO_L),
     Command("bound-energies", "bound-state bands over K", _writes(_bound_bands), (
-        ("--nK", dict(type=int, default=201, help="K-grid size")),)),
+        ("--nK", dict(type=int, default=201, help="K-grid size")),), model=_NO_L),
     Command("bound-wavefunction", "bound-state wavefunction at one K",
             _writes(_bound_wavefunction), (
         _K_FLAG,
         ("--branch", dict(choices=("plus", "minus"), default="plus")),
-        ("--xmax", dict(type=int, default=50, help="relative-coordinate range")))),
+        ("--xmax", dict(type=int, default=50, help="relative-coordinate range"))), model=_NO_L),
     Command("emit-fixed-k", "spontaneous emission at fixed K", _writes(_emit_fixed_k), (
         _K_FLAG,
         ("--tmax", dict(type=float, default=200.0)),
@@ -377,8 +381,9 @@ COMMANDS = (
         ("--snapshot", dict(type=float, action="append", default=None,
                             help="time(s) for x-resolved output "
                                  "(repeatable; default tmax)")))),
-    Command("windows", "K-selective emission windows", _writes(_windows)),
-    Command("selfcheck", "run fast internal consistency checks", selfcheck),
+    Command("windows", "K-selective emission windows", _writes(_windows),
+            model=("J", "Jp", "Delta")),
+    Command("selfcheck", "run fast internal consistency checks", selfcheck, model=()),
 )
 
 
@@ -392,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
         sp = sub.add_parser(cmd.name, help=cmd.help, aliases=cmd.aliases)
-        for flag, kwargs in _MODEL_FLAGS + cmd.flags:
+        for flag, kwargs in [_MODEL_FLAGS[m] for m in cmd.model] + [*_RUN_FLAGS, *cmd.flags]:
             sp.add_argument(flag, **kwargs)
-        sp.set_defaults(run=cmd.run)
+        sp.set_defaults(run=cmd.run, model=cmd.model)
     return ap
 
 

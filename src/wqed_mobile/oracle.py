@@ -81,9 +81,9 @@ def _lapack(name: str, info: int) -> None:
 
 def dense_block_diagonalize(params: ModelParams, K: float) -> BlockSpectrum:
     """Eigenvalues of the K block and their weights |<K|v_n>|^2, row 0 of its path's
-    eigenvectors squared.  The path splits at a bond of 0 (or subnormal, which dstein
-    mishandles): Omega = 0, or phi = 0 (K = 0 or J' = 0), whose L/2 - 1 odd states a_k are
-    dark.  Only the part that holds row 0 weighs.  The budget charges O(L) and the panel."""
+    eigenvectors squared; needs scipy.  The path splits at a bond of 0 (or subnormal, which
+    dstein mishandles): Omega = 0, or phi = 0 (K = 0 or J' = 0), whose L/2 - 1 odd states
+    a_k are dark.  Only the part that holds row 0 weighs.  The budget charges O(L) and the panel."""
     from scipy.linalg import lapack  # scipy is needed only by this oracle
 
     def sterf(d, e):  # the wrapper takes no empty e

@@ -28,6 +28,7 @@ import pytest
 
 from wqed_mobile import (
     ModelParams,
+    band_halfwidth,
     bound_wavefunctions,
     classify_regime_and_windows,
     evolve_fixed_K,
@@ -44,6 +45,7 @@ from wqed_mobile import (
     wavepacket_scattering_oracle,
     wrap,
 )
+from wqed_mobile.boundstates import _bound_offsets
 from wqed_mobile.oracle import _lattice_tridiagonal
 from wqed_mobile.scattering import scatter
 
@@ -293,7 +295,7 @@ def test_criterion_10_quartic_flattening():
 
     params = ModelParams(J=J, Jp=Jp, Delta=delta_star, Omega=Omega, L=400)
     e_dev = abs(dense_block_eigenvalues(params, math.pi)[-1] - e_star)
-    fr = flatness_report(params, half_window=0.5, n_points=201)
+    fr = flatness_report(params)
     bound = 0.1 * abs(fr.c4) * 0.25
 
     quad = ModelParams(J=J, Jp=Jp, Delta=0.0, Omega=Omega, L=400)
@@ -301,9 +303,13 @@ def test_criterion_10_quartic_flattening():
     x0 = e0**2 - 4.0 * (J - Jp) ** 2
     c2_analytic = (-Jp + 2.0 * J * Jp * Omega**2 * x0**-1.5) \
         / (1.0 + Omega**2 * e0 * x0**-1.5)
-    c2_dev = abs(flatness_report(quad, half_window=0.1, n_points=201).c2
-                 - c2_analytic)
-    fr0 = flatness_report(quad, half_window=0.5, n_points=201)
+    # The +-0.1 fit: flatness_report's own solve and least squares on a narrower window.
+    u = np.linspace(-0.1, 0.1, 201)
+    K = math.pi + np.concatenate(([0.0], u))
+    e = band_halfwidth(quad, K) + _bound_offsets(quad, K, +1)
+    coef, *_ = np.linalg.lstsq(np.column_stack([u**2, u**4]), e[1:] - e[0], rcond=None)
+    c2_dev = abs(float(coef[0]) - c2_analytic)
+    fr0 = flatness_report(quad)
     bound0 = 0.1 * abs(fr0.c4) * 0.25
 
     ok = e_dev < 1e-10 and abs(fr.c2) <= bound and c2_dev < 1e-5 \

@@ -6,6 +6,7 @@ Fourier transforms, and grid normalization sums.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from wqed_mobile import (
     z_of_K,
 )
 
+from wqed_mobile import boundstates, errors
 from wqed_mobile.boundstates import _f_of_delta
 
 from dense_reference import dense_block_eigenvalues
@@ -404,6 +406,32 @@ def test_wavefunction_over_budget_raises_before_allocating():
     bound = solve_bound_state(GENERIC, 0.3, +1)
     with pytest.raises(SizeError, match="reduce x_max"):
         bound_wavefunctions(GENERIC, bound, 10**11)
+
+
+def test_wavefunction_charges_its_momentum_amplitudes(monkeypatch):
+    # The L momentum amplitudes and their temporaries peak at 32 bytes a momentum,
+    # the peak that tracemalloc sees (32.0 bytes at L = 1000-2,000,000), so the call
+    # charges them with the 96 bytes a site before it builds the momentum grid.
+    def grid(L):
+        raise AssertionError("momenta built before the budget check")
+
+    params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=1.0, L=2_000_000)
+    bound = solve_bound_state(params, 0.3, +1)
+    tracemalloc.start()
+    try:
+        bound_wavefunctions(params, bound, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = 96 + 32 * params.L
+    assert need <= peak <= 1.05 * need
+    monkeypatch.setattr(boundstates, "momentum_grid", grid)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
+    with pytest.raises(SizeError, match="reduce x_max or L"):
+        bound_wavefunctions(params, bound, 0)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
+    with pytest.raises(AssertionError, match="budget check"):
+        bound_wavefunctions(params, bound, 0)
 
 
 def test_momentum_amplitudes_finite_on_the_band_extremum():

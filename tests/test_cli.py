@@ -1,5 +1,6 @@
 """CLI tests: subcommands, file formats, determinism, exit codes."""
 
+import argparse
 import contextlib
 import importlib
 import inspect
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import wqed_mobile
 from wqed_mobile import ModelParams, NumericalFailure, scattering
-from wqed_mobile.cli import COMMANDS, NORM_TOL, _check_emission, main
+from wqed_mobile.cli import COMMANDS, NORM_TOL, _check_emission, build_parser, main
 from wqed_mobile.dynamics import LocalizedRun
 
 
@@ -79,7 +80,7 @@ def test_map_recoil_alias(tmp_path, monkeypatch):
 def test_bound_energies(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["bound-energies", "--Jp", "0.5", "--Omega", "1",
-                 "--Delta", "0", "--nK", "16", "--L", "64"]) == 0
+                 "--Delta", "0", "--nK", "16"]) == 0
     header, rows = _read_csv(tmp_path / "bound-energies.csv")
     assert header == ["K", "E_minus", "E_plus", "band_min", "band_max"]
     assert len(rows) == 16
@@ -94,8 +95,7 @@ def test_bound_energies(tmp_path, monkeypatch):
 def test_bound_wavefunction(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["bound-wavefunction", "--K", "1.0471975512", "--Jp", "0.5",
-                 "--Omega", "1", "--branch", "minus", "--xmax", "20",
-                 "--L", "512"]) == 0
+                 "--Omega", "1", "--branch", "minus", "--xmax", "20"]) == 0
     header, rows = _read_csv(tmp_path / "bound-wavefunction.csv")
     assert header == ["x", "f_re", "f_im", "abs_f", "phase"]
     assert len(rows) == 41
@@ -205,7 +205,7 @@ def test_emit_localized_thread_count_does_not_change_bytes(tmp_path, monkeypatch
 
 def test_windows_command(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main(["windows", "--Jp", "0.5", "--Delta", "3", "--Omega", "0.2"]) == 0
+    assert main(["windows", "--Jp", "0.5", "--Delta", "3"]) == 0
     meta = json.loads((tmp_path / "windows.json").read_text())
     assert meta["regime"] == "selective"
     assert meta["w_plus"] == pytest.approx(math.acos(5.0 - math.sqrt(21.0)), rel=1e-15)
@@ -227,7 +227,7 @@ def test_windows_at_a_huge_scale(tmp_path, monkeypatch):
 
 def test_invalid_parameters_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    rc = main(["windows", "--Jp", "0.5", "--L", "63"])
+    rc = main(["emit-fixed-k", "--K", "0", "--L", "63"])
     assert rc == 2
     assert "L must be an even integer" in capsys.readouterr().err
     rc = main(["scatter", "--ki", "0.5", "--pi", "0.5", "--Omega", "-1"])
@@ -238,7 +238,7 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     # Omega = 0 with the level inside the band: no bound state exists.
     rc = main(["bound-wavefunction", "--K", "0", "--Omega", "0",
-               "--Delta", "0", "--Jp", "0.2", "--L", "64"])
+               "--Delta", "0", "--Jp", "0.2"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -405,21 +405,95 @@ def test_every_command_has_help(capsys):
             assert f"usage: wqed {cmd.name}" in capsys.readouterr().out  # an alias's too
 
 
+#: The model flags each subcommand reads; it takes no other.
+_READS = {"scatter": "J Jp Delta Omega", "map-transmission": "J Jp Delta Omega",
+          "bound-energies": "J Jp Delta Omega", "bound-wavefunction": "J Jp Delta Omega",
+          "emit-fixed-k": "J Jp Delta Omega L", "emit-localized": "J Jp Delta Omega L",
+          "windows": "J Jp Delta", "selfcheck": ""}
+
+
+@pytest.mark.parametrize("argv", [
+    ["windows", "--Omega", "1"],
+    ["scatter", "--ki", "0", "--pi", "1", "--L", "8"],
+    ["selfcheck", "--Jp", "1"],
+])
+def test_each_subcommand_takes_only_the_model_flags_it_reads(argv, tmp_path, monkeypatch,
+                                                             capsys):
+    # A flag that selects nothing is refused; every subcommand keeps --out and
+    # --threads, and the map-recoil alias shares map-transmission's parser.
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted([*_READS, "map-recoil"])
+    for name, parser in sub.choices.items():
+        cmd = next(c for c in COMMANDS if name in (c.name,) + c.aliases)
+        options = {o for action in parser._actions for o in action.option_strings}
+        assert cmd.model == tuple(_READS[cmd.name].split())
+        assert options - {"-h", "--help"} == ({f"--{m}" for m in cmd.model}
+                                              | {flag for flag, _ in cmd.flags}
+                                              | {"--out", "--threads"}), name
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+#: One small run of every subcommand name, aliases included.
+_SMALL_RUNS = (
+    ["scatter", "--ki", "1.0471975512", "--pi", "1.5707963268", "--Jp", "0.1", "--Omega", "0.5"],
+    ["map-transmission", "--Jp", "0.1", "--Omega", "0.5", "--nk", "5", "--np", "5"],
+    ["map-recoil", "--Jp", "0.1", "--Omega", "0.5", "--nk", "5", "--np", "5"],
+    ["bound-energies", "--Jp", "0.5", "--Omega", "1", "--nK", "16"],
+    ["bound-wavefunction", "--K", "1", "--Jp", "0.5", "--Omega", "1", "--xmax", "5"],
+    ["emit-fixed-k", "--K", "0", "--Jp", "0.5", "--Omega", "0.2", "--L", "16", "--tmax", "5",
+     "--nt", "6"],
+    ["emit-localized", "--Jp", "0.5", "--Omega", "0.2", "--L", "16", "--tmax", "5", "--nt", "6"],
+    ["windows", "--Jp", "0.5", "--Delta", "3"],
+    ["selfcheck"],
+)
+
+#: Without scipy (a finder refuses it, as if it were not installed), every
+#: subcommand and the wavepacket oracle run, and the dense oracle raises ImportError.
+_NO_SCIPY = f"""
+import math, sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"No module named {{name!r}}")
+sys.meta_path.insert(0, NoScipy())
+from wqed_mobile import ModelParams, dense_block_diagonalize, wavepacket_scattering_oracle
+from wqed_mobile.cli import main
+rcs = {{main(argv + ["--out", argv[0]]) for argv in {_SMALL_RUNS!r}}}
+res = wavepacket_scattering_oracle(ModelParams(J=1.0, Jp=0.1, Omega=0.5, L=200),
+                                   0.5, math.pi / 2, 0.03, 20.0)
+assert abs(res.transmission + res.reflection + res.excited_residual - 1.0) < 1e-8
+try:
+    dense_block_diagonalize(ModelParams(J=1.0, Jp=0.5, Omega=0.2, L=40), 0.3)
+except ImportError:
+    print(*rcs, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
 def test_import_leaves_scipy_unloaded(tmp_path):
     # Importing the package and running subcommands load no scipy; only the
-    # dense oracle imports it, when called.
+    # dense oracle imports it, when called, and without scipy it alone fails.
+    assert sorted(argv[0] for argv in _SMALL_RUNS) == sorted(
+        name for cmd in COMMANDS for name in (cmd.name,) + cmd.aliases)
     src = str(Path(wqed_mobile.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys; from wqed_mobile.cli import main; "
             "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    for argv in ([], ["bound-energies"], ["bound-wavefunction", "--K", "1"], ["selfcheck"]):
-        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                             text=True, check=True, cwd=tmp_path).stdout
-        assert out.splitlines()[-1] == "0 []", argv
+    runs = [(code, argv) for argv in
+            ([], ["bound-energies"], ["bound-wavefunction", "--K", "1"], ["selfcheck"])]
+    for script, argv in runs + [(_NO_SCIPY, [])]:
+        out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                             capture_output=True, text=True, check=True, cwd=tmp_path).stdout
+        assert out.splitlines()[-1] == "0 []", (script, argv)
 
 
-def test_public_optional_parameters_are_these_five():
+def test_public_optional_parameters_are_these_three():
     # Each defaulted parameter of a public function is an option that tests
     # and benchmarks must cover, so a new one has to be added here on purpose.
     options = {}
@@ -432,8 +506,7 @@ def test_public_optional_parameters_are_these_five():
                              if p.default is not p.empty]
                 if defaulted:
                     options[fname] = defaulted
-    assert options == {"flatness_report": ["half_window", "n_points"],
-                       "resolve_threads": ["requested"],
+    assert options == {"resolve_threads": ["requested"],
                        "evolve_localized": ["snapshots"],
                        "main": ["argv"]}
 
@@ -462,16 +535,16 @@ _FUZZ_FLAGS = {
 #: Required flags, and flags that keep each subcommand tiny; the drawn flags
 #: come later and win.
 _FUZZ_SMALL = {"scatter": ["--ki", "0.5", "--pi", "1.0"], "bound-energies": ["--nK", "8"],
-               "bound-wavefunction": ["--K", "0.3"], "emit-fixed-k": ["--K", "0.3", "--nt", "5"],
-               "emit-localized": ["--nt", "5"]}
+               "bound-wavefunction": ["--K", "0.3"],
+               "emit-fixed-k": ["--K", "0.3", "--nt", "5", "--L", "16"],
+               "emit-localized": ["--nt", "5", "--L", "16"]}
 
 
 @st.composite
 def _fuzz_argv(draw):
     cmd = draw(st.sampled_from(COMMANDS))
-    flags = [flag for flag, _ in cmd.flags] + ["--J", "--Jp", "--Delta", "--Omega",
-                                               "--L", "--threads"]
-    argv = [cmd.name, "--L", "16"] + _FUZZ_SMALL.get(cmd.name, [])
+    flags = [flag for flag, _ in cmd.flags] + [f"--{m}" for m in cmd.model] + ["--threads"]
+    argv = [cmd.name] + _FUZZ_SMALL.get(cmd.name, [])
     for flag in draw(st.lists(st.sampled_from(flags), max_size=6)):
         argv += [flag, draw(_FUZZ_FLAGS[flag])]
     return argv

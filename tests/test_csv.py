@@ -90,8 +90,8 @@ def test_write_csv_bytes_equal_the_row_loop(rows, tmp_path):
     ["bound-wavefunction", "--K", "1", "--Jp", "0.5", "--xmax", "20"],
     ["emit-localized", "--Jp", "0.5", "--Omega", "0.2", "--L", "40",
      "--tmax", "10", "--nt", "6", "--snapshot", "5"],
-    ["windows", "--Jp", "0.5", "--Delta", "3", "--Omega", "0.2"],  # one row
-    ["windows", "--Jp", "0.2", "--Delta", "5", "--Omega", "0.2"],  # regime none: no rows
+    ["windows", "--Jp", "0.5", "--Delta", "3"],  # one row
+    ["windows", "--Jp", "0.2", "--Delta", "5"],  # regime none: no rows
 ])
 def test_cli_tables_equal_the_row_loop(argv, tmp_path, monkeypatch):
     checked = []

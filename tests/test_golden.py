@@ -42,17 +42,16 @@ CASES = {
                           "--nk", "5", "--np", "7"], [""], None),
     "map-recoil": (["map-recoil", "--Jp", "0.5", "--Omega", "1", "--Delta", "3",
                     "--nk", "5", "--np", "7"], [""], None),
-    "windows": (["windows", "--Jp", "0.5", "--Delta", "3", "--Omega", "0.2"],
-                [""], None),
+    "windows": (["windows", "--Jp", "0.5", "--Delta", "3"], [""], None),
     **{f"{sub}-101-Jp{jp}": ([sub, "--Jp", jp, "--Omega", "0.5", "--Delta", "0",
                               "--nk", "101", "--np", "101"], [""], None)
        for sub in ("map-transmission", "map-recoil") for jp in ("0", "0.5")},
     "windows-lower": (["windows", "--Jp", "1.2", "--Delta", "-3"], [""], None),
-    "bound-energies": (["bound-energies", "--Jp", "0.5", "--Omega", "1",
-                        "--nK", "16", "--L", "64"], [""], (1e-12, 1e-15)),
+    "bound-energies": (["bound-energies", "--Jp", "0.5", "--Omega", "1", "--nK", "16"],
+                       [""], (1e-12, 1e-15)),
     "bound-wavefunction": (["bound-wavefunction", "--K", "1.0471975512",
                             "--Jp", "0.5", "--Omega", "1", "--branch", "minus",
-                            "--xmax", "10", "--L", "64"], [""], (1e-12, 1e-15)),
+                            "--xmax", "10"], [""], (1e-12, 1e-15)),
     "bound-wavefunction-plus": (["bound-wavefunction", "--K", "2.5", "--Jp", "0.3",
                                  "--Omega", "0.4", "--Delta", "-1", "--xmax", "8"],
                                 [""], (1e-12, 1e-15)),
