@@ -79,10 +79,14 @@ class ModelParams:
 
 
 def wrap(p):
-    """Wrap momenta to the fundamental interval (-pi, pi]."""
-    w = np.mod(p, TWO_PI)
+    """Wrap momenta to the fundamental interval (-pi, pi]: the bits of np.mod(p, 2 pi),
+    less 2 pi above pi.  For |p| <= 4 pi, floor(p / 2 pi) is exact and np.mod's result
+    is p - 2 pi floor(p / 2 pi) rounded once, or 0 where p / 2 pi underflows to -0."""
+    x = np.array(p, dtype=float, ndmin=1)
+    near = np.maximum.reduce(np.abs(x), axis=None, initial=0.0) <= 2.0 * TWO_PI
+    w = np.maximum(x - np.floor(x / TWO_PI) * TWO_PI, 0.0) if near else np.mod(x, TWO_PI)
     w = np.where(w > math.pi, w - TWO_PI, w)
-    return w if np.ndim(p) else float(w)
+    return w if np.ndim(p) else float(w[0])
 
 
 def momentum_grid(L: int) -> np.ndarray:

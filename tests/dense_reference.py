@@ -1,8 +1,8 @@
 """Dense references shared by the test modules: the block's eigenvalues, the block in
 long double, long-double refined emitter weights, a hypothesis strategy of (params, K)
 blocks, the position observables from the whole L x L joint amplitude, the
-wavefront of a position profile and phases from exact products; and a fresh
-interpreter with its peak RSS."""
+wavefront of a position profile, phases from exact products and the pairwise
+scattering kernel; and a fresh interpreter with its peak RSS."""
 
 import decimal
 import math
@@ -15,7 +15,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 import wqed_mobile
-from wqed_mobile import ModelParams, ParameterError, momentum_grid
+from wqed_mobile import (ModelParams, ParameterError, gap_energy, momentum_grid, omega_tilde,
+                         v_emitter, v_photon, xi_emitter, z_of_K)
 from wqed_mobile.dynamics import block_hamiltonian
 from wqed_mobile.model import grid_add_index
 
@@ -32,10 +33,13 @@ PEAK_KIB = (
     "        return rss // 1024 if sys.platform == 'darwin' else rss\n")
 
 
-def run_python(code: str, cwd) -> str:
-    """stdout of `code` in a fresh interpreter that imports this package."""
-    src = str(Path(wqed_mobile.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+def run_python(code: str, cwd, **env) -> str:
+    """stdout of `code` in a fresh interpreter that imports this package and the test
+    modules, with `env` added to its environment."""
+    path = os.pathsep.join([str(Path(wqed_mobile.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    return subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path, **env),
                           capture_output=True, text=True, check=True, cwd=cwd).stdout
 
 
@@ -137,3 +141,51 @@ def wavefront_position(x: np.ndarray, profile: np.ndarray) -> int:
     lobe = int(lobes[-1])
     reached = np.flatnonzero(folded[lobe + 1:] >= 0.1 * folded[lobe])
     return lobe + 1 + int(reached[-1]) if reached.size else lobe
+
+
+def _mod_wrap(p):
+    """wrap() as np.mod wrote it before its fmod-free path."""
+    w = np.mod(p, 2.0 * math.pi)
+    return np.where(w > math.pi, w - 2.0 * math.pi, w)
+
+
+def pairwise_scatter_arrays(params: ModelParams, k_i, p_i) -> dict:
+    """The scattering kernel as it was on flat (k_i, p_i) pairs, kept frozen as the bit
+    reference of the grid kernel at J = 1 (its tolerances are absolute)."""
+    k_i = np.asarray(k_i, dtype=float)
+    p_i = np.asarray(p_i, dtype=float)
+    K = k_i + p_i
+    z = z_of_K(params, K)
+    with np.errstate(all="ignore"):
+        absz2 = np.abs(z) ** 2
+        energy = omega_tilde(params, K, p_i)
+        detuning = energy - gap_energy(params, K)
+        half_vdiff = params.J * np.sin(p_i) - params.Jp * np.sin(k_i)
+        om2 = params.Omega**2
+        degenerate = (np.abs(half_vdiff) <= 1e-12) & (om2 > 0.0)
+        gamma = np.where(degenerate, math.inf, om2 / (2.0 * np.where(
+            np.abs(half_vdiff) > 1e-12, half_vdiff, 1.0)))
+        safe_gamma = np.where(degenerate, 0.0, gamma)
+        denom = detuning + 1j * safe_gamma
+        free = ~degenerate & (denom == 0.0)
+        safe = np.where(degenerate | free, 1.0, denom)
+        t = np.where(degenerate, 0.0 + 0.0j, np.where(free, 1.0 + 0.0j, detuning / safe))
+        r = np.where(degenerate, -1.0 + 0.0j, np.where(free, 0.0j, -1j * safe_gamma / safe))
+        vdiff = v_emitter(params, k_i) - v_photon(params, p_i)
+        arg = np.cos(p_i) - params.Jp * np.sin(K) * vdiff / absz2
+        arg = np.clip(arg, -1.0, 1.0)
+        sign = np.where(absz2 * np.sin(p_i) + vdiff * np.real(z) >= 0.0, 1.0, -1.0)
+    p_f2 = sign * np.arccos(arg)
+    res = np.abs(omega_tilde(params, K, p_f2) - energy)
+    flip = res > 1e-10 * np.maximum(1.0, np.abs(energy))
+    exact = degenerate | flip
+    p_f2 = _mod_wrap(p_f2)
+    p_f2[exact] = _mod_wrap(-p_i[exact] - 2.0 * np.angle(z[exact]))
+    k_f2 = _mod_wrap(K - p_f2)
+    return {
+        "t_re": t.real, "t_im": t.imag, "r_re": r.real, "r_im": r.imag,
+        "T": np.abs(t) ** 2, "R": np.abs(r) ** 2, "p_f2": p_f2, "k_f2": k_f2,
+        "dE_qb": xi_emitter(params, k_f2) - xi_emitter(params, k_i),
+        "degenerate": degenerate, "detuning": detuning, "gamma": gamma,
+        "flipped": flip & ~degenerate,
+    }

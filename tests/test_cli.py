@@ -225,6 +225,24 @@ def test_windows_at_a_huge_scale(tmp_path, monkeypatch):
     assert meta["jc_minus"] == meta["jc_minus_approx"] == "nan"
 
 
+def test_map_at_a_tiny_scale(tmp_path, monkeypatch):
+    # J, J', Delta and Omega times 4^-20 (passed as Python's repr, so they parse
+    # exactly) write the J = 1 map's dimensionless columns byte for byte.  Absolute
+    # tolerances flagged 97 of the 121 points degenerate here, with t = 0 and r = -1.
+    monkeypatch.chdir(tmp_path)
+    columns = {}
+    for scale in (1.0, 4.0**-20):
+        model = [f"--{name}={value * scale!r}" for name, value
+                 in (("J", 1.0), ("Jp", 0.5), ("Delta", 0.3), ("Omega", 0.5))]
+        assert main(["map-transmission", *model, "--nk", "11", "--np", "11",
+                     "--out", f"s{scale!r}"]) == 0
+        header, rows = _read_csv(tmp_path / f"s{scale!r}.csv")
+        columns[scale] = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    for name in ("t_re", "t_im", "r_re", "r_im", "T", "R", "p_f2", "k_f2", "degenerate"):
+        assert columns[4.0**-20][name] == columns[1.0][name], name
+    assert columns[1.0]["degenerate"].count("1") == 1
+
+
 def test_invalid_parameters_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = main(["emit-fixed-k", "--K", "0", "--L", "63"])

@@ -17,6 +17,10 @@
 Rewrite the record, only when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites only the cases that fail against the record or are new, and names
+them; a stored entry that passes its case's tolerance keeps its bytes, so a
+re-record of an unchanged tree leaves golden.json as it is.
 """
 
 import contextlib
@@ -89,31 +93,29 @@ def _run(name: str, workdir: Path) -> dict:
     return {"sidecar": meta, "files": files}
 
 
-def _assert_close(got, want, tol: tuple[float, float], where: str) -> None:
+def _mismatch(got, want, tol: tuple[float, float] | None, where: str) -> str | None:
+    """Where `got` first leaves `want`'s tolerance (None: exact equality), or None."""
+    if tol is None or not isinstance(want, (dict, list, float)):
+        return None if got == want else f"{where}: {got!r} != {want!r}"
+    if isinstance(want, float):
+        return None if math.isclose(got, want, rel_tol=tol[0], abs_tol=tol[1]) \
+            else f"{where}: {got!r} != {want!r}"
     if isinstance(want, dict):
-        assert sorted(got) == sorted(want), where
-        for k in want:
-            _assert_close(got[k], want[k], tol, f"{where}.{k}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_close(g, w, tol, f"{where}[{i}]")
-    elif isinstance(want, float):
-        assert math.isclose(got, want, rel_tol=tol[0], abs_tol=tol[1]), \
-            f"{where}: {got!r} != {want!r}"
+        if sorted(got) != sorted(want):
+            return f"{where}: keys {sorted(got)} != {sorted(want)}"
+        pairs = [(got[k], want[k], f"{where}.{k}") for k in want]
     else:
-        assert got == want, where
+        if len(got) != len(want):
+            return f"{where}: length {len(got)} != {len(want)}"
+        pairs = [(g, w, f"{where}[{i}]") for i, (g, w) in enumerate(zip(got, want))]
+    return next(filter(None, (_mismatch(g, w, tol, at) for g, w, at in pairs)), None)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
     want = json.loads(GOLDEN.read_text())[name]
-    got = _run(name, tmp_path)
-    tol = CASES[name][2]
-    if tol is None:
-        assert got == want
-    else:
-        _assert_close(got, want, tol, name)
+    mismatch = _mismatch(_run(name, tmp_path), want, CASES[name][2], name)
+    assert mismatch is None, mismatch
 
 
 def _bench_gate_failures(tmp_path, monkeypatch, sub: str, count: int) -> list:
@@ -151,9 +153,15 @@ def test_windows_jobs_pass_the_bench_gate(tmp_path, monkeypatch):
 if __name__ == "__main__":
     import tempfile
 
-    record = {}
+    stored = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    record, rewritten = {}, []
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as d:
-            record[case] = _run(case, Path(d))
+            fresh = _run(case, Path(d))
+        if case in stored and _mismatch(fresh, stored[case], CASES[case][2], case) is None:
+            record[case] = stored[case]
+        else:
+            record[case] = fresh
+            rewritten.append(case)
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    print(f"rewrote {', '.join(rewritten) or 'no case'} in {GOLDEN}", file=sys.stderr)

@@ -62,6 +62,39 @@ def test_wrap_invariants():
     assert wrap(-math.pi) == math.pi
 
 
+def _mod_wrap(p):
+    # wrap() as np.mod wrote it before its fmod-free path
+    w = np.mod(p, 2.0 * math.pi)
+    return np.where(w > math.pi, w - 2.0 * math.pi, w)
+
+
+def test_wrap_keeps_the_bits_of_np_mod():
+    # Every bit, the sign of zero included, on random doubles within and past 4 pi,
+    # random bit patterns (NaN, inf and subnormals among them), and the edges: +-0,
+    # +-pi, +-2 pi, +-4 pi with their neighbours, subnormals, whose x / 2 pi can
+    # underflow to -0, and +-1e300.
+    rng = np.random.default_rng(7)
+    tpi = 2.0 * math.pi
+    edges = np.array([0.0, math.pi, tpi, 2.0 * tpi, 5e-324, 1e-323, 1.5e-323, 2e-323,
+                      2.5e-323, 2.2250738585072014e-308, 1e-300, 1e300, math.inf])
+    edges = np.concatenate([edges, -edges])
+    edges = np.concatenate([edges, np.nextafter(edges, math.inf),
+                            np.nextafter(edges, -math.inf), [math.nan]])
+    subnormals = rng.integers(-2**52, 2**52, 10**4).view(np.float64)
+    patterns = rng.integers(-2**63, 2**63 - 1, 10**5, dtype=np.int64).view(np.float64)
+    within = rng.uniform(-2.0 * tpi, 2.0 * tpi, 10**5)
+    beyond = rng.uniform(-10.0 * tpi, 10.0 * tpi, 10**5)
+    near = (np.arange(-4, 5)[:, None] * math.pi
+            + np.arange(-500, 500) * np.spacing(4.0 * math.pi)).ravel()
+    with np.errstate(invalid="ignore"):  # np.mod of inf
+        for x in (edges, subnormals, patterns, within, beyond, near):
+            assert np.array_equal(wrap(x).view(np.int64), _mod_wrap(x).view(np.int64))
+        for v in edges:
+            assert np.float64(wrap(float(v))).view(np.int64) == _mod_wrap(v).view(np.int64)
+    assert wrap(np.array([])).shape == (0,)
+    assert wrap(np.zeros((2, 3))).shape == (2, 3)
+
+
 def test_grid_closed_under_index_arithmetic():
     L = 12
     p = momentum_grid(L)

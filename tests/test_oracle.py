@@ -31,7 +31,7 @@ from wqed_mobile.dynamics import block_hamiltonian
 from wqed_mobile.errors import SizeError
 from wqed_mobile.model import grid_sub_index
 from wqed_mobile.oracle import _bessel_j, _lattice_tridiagonal, chebyshev_evolve_blocks
-from wqed_mobile.scattering import _scatter_arrays
+from wqed_mobile.scattering import _scatter_grid
 
 from dense_reference import (PEAK_KIB, blocks, dense_block_eigenvalues, long_double_block,
                              refined_dense_weights, run_python)
@@ -364,9 +364,8 @@ def test_wavepacket_matches_packet_averaged_amplitudes():
     w_qb = np.exp(-wrap(p - k0) ** 2 / (2 * sigma**2))
     ia = np.flatnonzero(w_ph > 1e-12)
     ib = np.flatnonzero(w_qb > 1e-12)
-    kk, pp = np.meshgrid(p[ib], p[ia], indexing="ij")
-    table = _scatter_arrays(params, kk.ravel(), pp.ravel())
-    weight = np.outer(w_qb[ib], w_ph[ia]).ravel()
+    table = _scatter_grid(params, p[ib], p[ia])
+    weight = np.outer(w_qb[ib], w_ph[ia])
     t_avg = float(np.sum(weight * table["T"]) / weight.sum())
     assert res.transmission == pytest.approx(t_avg, abs=5e-3)
     assert res.reflection == pytest.approx(1.0 - t_avg, abs=5e-3)

@@ -25,6 +25,8 @@ from wqed_mobile import (
 )
 from wqed_mobile import scattering
 
+from dense_reference import pairwise_scatter_arrays, run_python
+
 
 def _complex_cols(table, name):
     return table[f"{name}_re"] + 1j * table[f"{name}_im"]
@@ -197,31 +199,130 @@ def test_sweep_checks_the_budget_before_building_its_grid(monkeypatch):
         sweep_scattering(params, 2000, 2000)
 
 
-@pytest.mark.parametrize("n_k, n_p", [(256, 204), (257, 203), (40, 30)])
+@pytest.mark.parametrize("n_k, n_p", [(256, 204), (257, 203), (40, 30), (3, 17000)])
 def test_chunked_sweep_equals_one_kernel_call(n_k, n_p, caplog):
-    # 256 x 204 and 257 x 203 span seven chunks, the last one ragged, and 40 x 30
-    # fits in one.  At J' = J the arccos branch flips (in two chunks of the
-    # first grid); the sweep logs one record with the total count.
+    # 256 x 204 and 257 x 203 span four blocks of 80 rows, the last one ragged, 40 x 30
+    # fits in one, and each 17000-point row of 3 x 17000 is cut in two.  At J' = J the
+    # arccos branch flips (in two blocks of the first grid); the sweep logs one record
+    # with the total count.
     params = ModelParams(J=1.0, Jp=1.0, Delta=0.0, Omega=1.0, L=8)
-    kk, pp = np.meshgrid(momentum_grid(n_k), momentum_grid(n_p), indexing="ij")
-    ref = scattering._scatter_arrays(params, kk.ravel(), pp.ravel())
+    ref = scattering._scatter_grid(params, momentum_grid(n_k), momentum_grid(n_p))
     n_flipped = int(np.count_nonzero(ref["flipped"]))
     assert n_flipped > 0
     with caplog.at_level(logging.WARNING, logger="wqed_mobile.scattering"):
         table = sweep_scattering(params, n_k, n_p)
     assert list(table) == list(scattering.SWEEP_COLUMNS)
-    for name, column in table.items():
-        assert column.dtype == ref[name].dtype, name
-        assert np.array_equal(column, ref[name]), name
+    assert np.array_equal(table["k_i"], np.repeat(momentum_grid(n_k), n_p))
+    assert np.array_equal(table["p_i"], np.tile(momentum_grid(n_p), n_k))
+    for name in scattering.SWEEP_COLUMNS[2:]:
+        assert table[name].dtype == ref[name].dtype, name
+        assert np.array_equal(_bits(table[name]), _bits(ref[name].ravel())), name
     flips = [r for r in caplog.records if "on-shell check" in r.getMessage()]
     assert len(flips) == 1
     assert f"at {n_flipped} point(s)" in flips[0].getMessage()
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def _assert_same_bits(got: dict, want: dict, names) -> None:
+    for name in names:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(_bits(got[name]), _bits(want[name])), name
+
+
+#: J' = 0, whose p_i = 0 and -pi are degenerate, 0.1, 0.25 and 0.5; J' = J with its
+#: arccos flips; and Omega = 0.
+_BIT_PARAMS = [dict(Jp=0.0, Delta=0.0, Omega=0.5), dict(Jp=0.1, Delta=0.0, Omega=0.5),
+               dict(Jp=0.25, Delta=0.3, Omega=0.5), dict(Jp=0.5, Delta=0.3, Omega=0.5),
+               dict(Jp=1.0, Delta=0.0, Omega=1.0), dict(Jp=0.5, Delta=0.3, Omega=0.0)]
+
+
+def _check_kernel_bits():
+    """Every column of the sweep, and of the grid kernel with its detuning, gamma and
+    flipped, keeps the bits of the frozen pairwise kernel."""
+    for kw in _BIT_PARAMS:
+        params = ModelParams(J=1.0, L=8, **kw)
+        for n_k, n_p in [(1001, 1001), (101, 101), (5, 7), (256, 204), (257, 203)]:
+            table = sweep_scattering(params, n_k, n_p)
+            for rows in np.array_split(np.arange(n_k * n_p), max(1, n_k // 100)):
+                ref = pairwise_scatter_arrays(params, table["k_i"][rows], table["p_i"][rows])
+                _assert_same_bits({name: c[rows] for name, c in table.items()}, ref,
+                                  scattering.SWEEP_COLUMNS[2:])
+            if n_k * n_p < 10**5:
+                grid = scattering._scatter_grid(params, momentum_grid(n_k), momentum_grid(n_p))
+                ref = pairwise_scatter_arrays(params, table["k_i"], table["p_i"])
+                _assert_same_bits({name: c.ravel() for name, c in grid.items()}, ref, ref)
+
+
+def test_grid_kernel_keeps_the_pairwise_bits():
+    _check_kernel_bits()
+
+
+def test_grid_kernel_keeps_the_pairwise_bits_at_degenerate_and_free_points():
+    # Exactly degenerate velocities: p_i = 0 and -pi at J' = 0, and p_i = k_i at J' = J
+    # (also with Omega = 0, whose gamma is then 0 / 2 rather than 0 / 0); nearly
+    # degenerate ones at J sin p_i - J' sin k_i = -5.6e-17; and free points, Omega = 0 with
+    # Delta = -2 at p_i = 0, where the detuning is exactly 0 for J' = 0 and for J' = 0.5.
+    cases = [(dict(Jp=0.0, Delta=0.3, Omega=0.5), [-1.0, 0.4], [-math.pi, 0.0, 1.1], 4, 0),
+             (dict(Jp=1.0, Delta=0.2, Omega=0.5), [0.7, -2.1], [0.7, -2.1, 1.3], 2, 0),
+             (dict(Jp=1.0, Delta=0.2, Omega=0.0), [0.7, -2.1], [0.7, -2.1, 1.3], 0, 0),
+             (dict(Jp=0.5, Delta=0.0, Omega=0.5), [math.pi / 2], [math.asin(0.5), 2.0], 1, 0),
+             (dict(Jp=0.0, Delta=-2.0, Omega=0.0), [0.3, -2.0], [0.0, 1.0], 0, 2),
+             (dict(Jp=0.5, Delta=-2.0, Omega=0.0), [0.3], [0.0, 0.7], 0, 1)]
+    for kw, k, p, n_degenerate, n_free in cases:
+        params = ModelParams(J=1.0, L=8, **kw)
+        grid = scattering._scatter_grid(params, k, p)
+        kk, pp = np.meshgrid(k, p, indexing="ij")
+        ref = pairwise_scatter_arrays(params, kk.ravel(), pp.ravel())
+        _assert_same_bits({name: c.ravel() for name, c in grid.items()}, ref, ref)
+        assert np.count_nonzero(grid["degenerate"]) == n_degenerate, kw
+        assert np.count_nonzero((grid["t_re"] == 1.0) & (grid["detuning"] == 0.0)) == n_free
+
+
+def test_grid_kernel_keeps_the_pairwise_bits_without_avx512(tmp_path):
+    # numpy rounds arccos and arctan2 differently under its AVX-512 kernels; the
+    # comparison runs again in a process with them switched off.
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    groups = [g for g in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(g)]
+    if not groups:
+        pytest.skip("no AVX-512 kernels here: the test above already runs the baseline")
+    code = "import test_scattering; test_scattering._check_kernel_bits(); print('same bits')"
+    out = run_python(code, tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(groups))
+    assert out.splitlines()[-1] == "same bits"
+
+
+@pytest.mark.parametrize("k", [20, -20, 60, -60])
+def test_scattering_is_exactly_scale_covariant(k):
+    # Multiplying J, J', Delta and Omega by 4^k scales every operation exactly, so the
+    # dimensionless columns keep their bits and dE_qb scales by 4^k.  Absolute
+    # tolerances flagged 97 of these 121 points degenerate at 4^-20.
+    s = 4.0**k
+    for jp, delta, omega in [(0.5, 0.3, 0.5), (0.0, 0.3, 0.5), (0.1, 0.0, 0.5),
+                             (1.0, 0.0, 1.0), (0.5, 0.3, 0.0)]:
+        ref = sweep_scattering(ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=omega, L=8), 11, 11)
+        got = sweep_scattering(ModelParams(J=s, Jp=jp * s, Delta=delta * s, Omega=omega * s,
+                                           L=8), 11, 11)
+        for name in ("t_re", "t_im", "r_re", "r_im", "T", "R", "p_f2", "k_f2", "degenerate"):
+            assert np.array_equal(_bits(got[name]), _bits(ref[name])), (jp, name)
+        assert np.array_equal(got["dE_qb"], ref["dE_qb"] * s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the warning at a velocity degeneracy
+        one = scatter(ModelParams(J=1.0, Jp=0.5, Delta=0.3, Omega=0.5, L=8), 0.0, 0.0)
+        scaled = scatter(ModelParams(J=s, Jp=0.5 * s, Delta=0.3 * s, Omega=0.5 * s, L=8),
+                         0.0, 0.0)
+    assert one.degenerate and scaled.degenerate
+    assert (scaled.t, scaled.r, scaled.p_f2) == (one.t, one.r, one.p_f2)
+
+
 def test_sweep_holds_little_more_than_its_table():
     # The kernel's temporaries live for one chunk, so the sweep's peak is its
-    # table plus a few MB (1.12 times the table); 1.5 fails a kernel call on
-    # the whole grid, whose temporaries take 2.65 times the table.
+    # table plus a few MB (1.24 times the table); 1.5 fails a kernel call on
+    # the whole grid, whose temporaries take 2.46 times the table.
     params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.5, L=8)
     sweep_scattering(params, 11, 11)
     tracemalloc.start()
