@@ -26,7 +26,6 @@ coupling pins the root exponentially close to the band edge.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -249,7 +248,7 @@ def bound_wavefunctions(params: ModelParams, bound: BoundState, x_max: int
     z = complex(z_of_K(params, bound.K))
     # E - omega_tilde(K, p) = side edge_offset + 2|z| (side + cos(p + arg z)), the
     # bracket in half-angle form: no cancellation where p sits on the band extremum.
-    half = 0.5 * (momentum_grid(L) + cmath.phase(z))
+    half = 0.5 * (momentum_grid(L) + math.atan2(z.imag, z.real))
     bracket = np.cos(half) ** 2 if bound.branch > 0 else np.sin(half) ** 2
     f_p = (params.Omega / math.sqrt(L)) * bound.u / (
         bound.branch * (bound.edge_offset + 4.0 * abs(z) * bracket))

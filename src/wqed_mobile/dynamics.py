@@ -28,7 +28,6 @@ their roots together, about 4096 at a time.
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -176,7 +175,7 @@ def _ring(params: ModelParams, K: float, tol: float) -> _Ring:
     b = abs(z)
     if 4 * b <= tol:
         return _Ring(b, 0.0, math.pi, np.zeros(L, dtype=np.intp))
-    v = L * cmath.phase(z) / (2 * math.pi)
+    v = L * math.atan2(z.imag, z.real) / (2 * math.pi)
     d = v - round(v)  # p + phi = 2 pi (i + d) / L with i integer; |d| is exact
     ell, ell_c = 2 * math.pi * abs(d), math.pi * (1 - 2 * abs(d))
     if 4 * b * min(ell, ell_c) <= tol * L:

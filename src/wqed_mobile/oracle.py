@@ -14,9 +14,12 @@ scattering amplitudes, bound-state roots) in the loop:
   |sin h phi|, b ..; signs change nothing here).  Starting at the emitter, it
   is the tridiagonal a reduction of the dense block gives (implicit-Q
   theorem), and the weights are the squared first row of its eigenvectors
-  (Golub & Welsch, Math. Comp. 23, 221 (1969)): dsterf's eigenvalues and
-  dstein's eigenvectors, a panel at a time, in O(L) memory.  It checks the
-  bound states and the completeness of scattering plus bound states.
+  (Golub & Welsch, Math. Comp. 23, 221 (1969)), the residues of its
+  resolvent's (0, 0) entry: dsterf's eigenvalues, each weight from a
+  recurrence down the path, O(L) an eigenvalue, and dstein's inverse
+  iteration only for the weights that the recurrence cannot certify, all in
+  O(L) memory.  It checks the bound states and the completeness of
+  scattering plus bound states.
 
 * wavepacket_scattering_oracle - scatters a Gaussian single-photon packet
   off a Gaussian ground-state emitter packet by brute-force time evolution
@@ -30,7 +33,6 @@ scattering amplitudes, bound-state roots) in the loop:
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -63,11 +65,15 @@ class BlockSpectrum:
 #: Eigenvectors of one dstein call: (L+1) x 64 doubles, 1 MiB at L = 2000.
 _PANEL = 64
 
+_EPS = np.finfo(float).eps
+
 
 def _lattice_tridiagonal(params: ModelParams, K: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal d and bonds e of the K block's path (see the module docstring)."""
     h, z = params.L // 2, complex(z_of_K(params, K))
-    b, twist = abs(z), h * cmath.phase(z)  # twist = 0, sin exactly 0, where phi = 0
+    # twist = 0, sin exactly 0, where phi = 0; math.atan2, as cmath.phase raises where phi
+    # underflows (a subnormal K)
+    b, twist = abs(z), h * math.atan2(z.imag, z.real)
     d, bulk, r2b = np.zeros(params.L + 1), np.full(h - 2, b), math.sqrt(2.0) * b
     d[0] = gap_energy(params, K)
     return d, np.concatenate(([params.Omega, r2b], bulk,
@@ -83,7 +89,26 @@ def dense_block_diagonalize(params: ModelParams, K: float) -> BlockSpectrum:
     """Eigenvalues of the K block and their weights |<K|v_n>|^2, row 0 of its path's
     eigenvectors squared; needs scipy.  The path splits at a bond of 0 (or subnormal, which
     dstein mishandles): Omega = 0, or phi = 0 (K = 0 or J' = 0), whose L/2 - 1 odd states
-    a_k are dark.  Only the part that holds row 0 weighs.  The budget charges O(L) and the panel."""
+    a_k are dark.  Only the part that holds row 0 weighs.
+
+    Its weights are residues of the resolvent's (0, 0) entry (Golub & Welsch): with
+    f = 1 / G_00, w = 1 / f'(lambda) at each of dsterf's eigenvalues lambda, and f' = S,
+    the squared norm of the solution v of rows 1 .. m-1 with v_0 = 1 (_row0_residual, O(m)
+    an eigenvalue; Dhillon & Parlett, Linear Algebra Appl. 387, 1 (2004)).  One Newton
+    step lambda_1 = lambda - f / S moves to the eigenvalue, and w = 1 / S(lambda_1) is kept
+    where all of these certify it:
+
+    (a) the step is at most _STEP_OF_GAP of the gap to the neighbouring eigenvalues, so
+        it cannot land on another one's root;
+    (b) a second step, |f(lambda_1)| / S(lambda_1), is within _ROUNDING eps of the path's
+        scale |lambda_1| + max|d| + 2 max e, so lambda_1 is the root to rounding;
+    (c) the first-order weight error |S'| w^2 (|f(lambda_1)| w + 2 ulp(lambda_1)) is at
+        most _WEIGHT_TOL, so w is not on a steep flank of S near a close pair;
+    (d) w is finite.
+
+    The recurrence fixes v_0 = 1, so an eigenvector small at row 0, a close pair, or an
+    overflow breaks it; those eigenvalues, and only those, go to dstein's inverse
+    iteration (_row0_weights).  The budget charges O(L) and dstein's panel."""
     from scipy.linalg import lapack  # scipy is needed only by this oracle
 
     def sterf(d, e):  # the wrapper takes no empty e
@@ -97,22 +122,80 @@ def dense_block_diagonalize(params: ModelParams, K: float) -> BlockSpectrum:
     m = 1 + int(np.argmax(np.append(e, 0.0) < np.finfo(float).tiny))  # row 0's part
     energy = np.concatenate((sterf(d[:m], e[:m - 1]), sterf(d[m:], e[m:])))
     weights = np.zeros(n)
-    weights[:m] = _row0_weights(lapack, d[:m], e[:m - 1], energy[:m]) if m > 1 else 1.0
+    weights[:m] = _path_weights(lapack, d[:m], e[:m - 1], energy[:m]) if m > 1 else 1.0
     order = np.argsort(energy, kind="stable")
     return BlockSpectrum(K=float(K), eigenvalues=energy[order], weights=weights[order])
 
 
-def _row0_weights(lapack, d, e, energy) -> np.ndarray:
+#: Acceptance of a recurrence weight, conditions (a)-(c) of dense_block_diagonalize.
+_STEP_OF_GAP = 1e-3
+_ROUNDING = 8.0
+_WEIGHT_TOL = 4e-14
+
+
+def _path_weights(lapack, d, e, energy) -> np.ndarray:
     """z_0^2 of the unit eigenvectors z of the unreduced tridiagonal (d, e) at its ascending
-    eigenvalues `energy`, by dstein's inverse iteration _PANEL eigenvalues at a time."""
+    eigenvalues `energy`: the recurrence's certified weights, dstein's for the rest."""
+    # A power of two scales the path to order 1 exactly, so that no square over- or
+    # underflows for its size; the weights do not change.
+    scale = 2.0 ** -math.frexp(max(np.abs(d).max(), e.max()))[1]
+    d, e, lam = d * scale, e * scale, energy * scale
+    with np.errstate(all="ignore"):  # an overflow or 0/0 only fails the checks below
+        f, s, _ = _row0_residual(d, e, lam, slope=False)
+        step = f / s
+        lam1 = lam - step
+        f1, s1, ds1 = _row0_residual(d, e, lam1, slope=True)
+        w = 1.0 / s1
+        gap = np.minimum(np.diff(lam, prepend=-np.inf), np.diff(lam, append=np.inf))
+        norm = np.abs(d).max() + 2.0 * e.max()
+        second = np.abs(f1) * w
+        certified = ((np.abs(step) <= _STEP_OF_GAP * gap)
+                     & (second <= _ROUNDING * _EPS * (np.abs(lam1) + norm))
+                     & (np.abs(ds1) * w * w * (second + 2.0 * np.spacing(np.abs(lam1)))
+                        <= _WEIGHT_TOL)
+                     & np.isfinite(w))
+    w[~certified] = _row0_weights(lapack, d, e, lam[~certified])
+    return w
+
+
+def _row0_residual(d, e, lam, slope: bool):
+    """f = 1 / G_00, S = f' and, with `slope`, S' of the tridiagonal (d, e) at every lam at
+    once.  f = lam - d_0 - e_0 v_1 for the v that solves rows 1 .. m-1 of (T - lam) v = 0
+    with v_0 = 1, S = sum_j v_j^2: from the bottom row up, the pivots
+    q_j = lam - d_j - e_j^2 / q_{j+1} (f = q_0) and their slopes D_j = dq_j / dlam (S = D_0)."""
+    q, s = lam - d[-1], np.ones_like(lam)
+    ds = np.zeros_like(lam) if slope else None
+    x, g, y = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
+    for dj, ej in zip(d[-2::-1].tolist(), e[::-1].tolist()):  # rows m-2 .. 0
+        np.divide(ej * ej, q, out=x)
+        np.divide(x, q, out=g)  # (v_{j+1} / v_j)^2, so D_j = 1 + g D_{j+1}
+        if slope:  # dD_j = g (dD_{j+1} - 2 D_{j+1}^2 / q_{j+1})
+            np.divide(s, q, out=y)
+            y *= s
+            y += y
+            ds -= y
+            ds *= g
+        s *= g
+        s += 1.0
+        np.subtract(lam, x, out=q)
+        if dj:
+            q -= dj
+    return q, s, ds
+
+
+def _row0_weights(lapack, d, e, energy) -> np.ndarray:
+    """z_0^2 of the unit eigenvectors z of the unreduced tridiagonal (d, e) at ascending
+    eigenvalues `energy` (all of its eigenvalues or some), by dstein's inverse iteration
+    _PANEL eigenvalues at a time."""
     m = d.size
     block, split = np.ones(m, dtype=np.int32), np.full(m, m, dtype=np.int32)  # one block
-    weights, a = np.empty(m), 0
-    while a < m:
+    k = energy.size
+    weights, a = np.empty(k), 0
+    while a < k:
         # dstein keeps close eigenvalues' vectors orthogonal within one call only, so
         # each panel ends at the widest gap of its second half.
         half = energy[a + _PANEL // 2:a + _PANEL + 1]
-        b = m if m - a <= _PANEL else a + _PANEL // 2 + 1 + int(np.argmax(np.diff(half)))
+        b = k if k - a <= _PANEL else a + _PANEL // 2 + 1 + int(np.argmax(np.diff(half)))
         z, info = lapack.dstein(d, e, energy[a:b], block, split)
         _lapack("dstein", info)
         weights[a:b] = z[0] ** 2
@@ -123,8 +206,6 @@ def _row0_weights(lapack, d, e, energy) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Chebyshev propagation over a batch of K blocks
 
-
-_EPS = np.finfo(float).eps
 
 #: Bytes of one (blocks, L) complex array of the Chebyshev recursion; its
 #: five arrays of that size (1.25 MiB) then fit in a 2 MiB L2 cache.

@@ -855,6 +855,8 @@ def _ring_lattice(ring):
        K=st.one_of(st.sampled_from((0.0, math.pi)), st.floats(-math.pi, math.pi)),
        where=st.sampled_from(("band", "edge", "pole", "below", "below-edge")),
        u=st.floats(0.01, 0.99))
+# A subnormal K, where arg z(K) underflows: cmath.phase raised OverflowError there.
+@example(L=4, jp=1.0, K=5e-324, where="band", u=0.5)
 def test_ring_sum_matches_a_long_double_direct_sum(L, jp, K, where, u):
     # The engine's closed forms against the direct sum over the same poles,
     # in long double: in the lower half of the band (the upper half is its

@@ -70,9 +70,9 @@ def test_dense_static_extremal_eigenvalues():
 
 
 def test_dense_blocks_check_the_budget_before_building(monkeypatch):
-    # The call charges (L+1)(64 + 16) doubles, dstein's panel of 64 eigenvectors and O(L)
-    # arrays, so it refuses an L past the 2 GiB limit (L = 3,355,442) before it builds
-    # the path.
+    # The call charges (L+1)(64 + 16) doubles, the panel of 64 eigenvectors that a dstein
+    # fallback may take and O(L) arrays (the recurrence's among them), so it refuses an L
+    # past the 2 GiB limit (L = 3,355,442) before it builds the path.
     def build(params, K):
         raise AssertionError("path built before the budget check")
 
@@ -84,9 +84,10 @@ def test_dense_blocks_check_the_budget_before_building(monkeypatch):
 
 
 def test_dense_solve_runs_in_place(tmp_path):
-    # The call forms no (L+1)^2 array: dstein's 64 eigenvectors at a time and O(L) more
-    # raise the peak RSS by about 0.1 block of (L+1)^2 doubles at L = 2000; 0.2 fails any
-    # solve that builds the block (the reduction of the block in place took about 1.04).
+    # The call forms no (L+1)^2 array: the recurrence's O(L) arrays, and 64 eigenvectors
+    # at a time where it falls back to dstein, stay below 0.1 block of (L+1)^2 doubles at
+    # L = 2000; 0.2 fails any solve that builds the block (the reduction of the block in
+    # place took about 1.04).
     # A fresh process sees the rise alone; the warm-up loads scipy and LAPACK.  It reads
     # its own peak, VmHWM: Linux's ru_maxrss starts at the parent's RSS at the fork, so
     # behind a large pytest process the rise read 0 even for a solve that built the block.
@@ -145,7 +146,9 @@ _SYEVD_CASES = [
 
 @pytest.mark.parametrize("params, K", _SYEVD_CASES)
 def test_dense_solve_matches_syevd(params, K):
-    # dsterf's eigenvalues and dstein's emitter row against syevd's.
+    # dsterf's eigenvalues and the emitter row against syevd's.  The recurrence certifies
+    # every weight of the first three blocks and all but 4 at K = pi; the weak couplings
+    # send 61 and 64 of their 65 weights to dstein.
     from scipy.linalg import eigh
 
     h = block_hamiltonian(params, K)
@@ -206,6 +209,15 @@ def test_dense_dark_states_weigh_nothing():
 # A subnormal twist bond (phi = 1e-311), on which dstein lost 3.8e-3 of the weights.
 @example(block=(ModelParams(J=1.0, Jp=2.225073858507e-311, Delta=0.3, Omega=0.5, L=64),
                 1.3744467859455343))
+# A subnormal K, where arg z(K) underflows: cmath.phase raised OverflowError there.
+@example(block=(ModelParams(J=1.0, Jp=1.0, Delta=0.0, Omega=0.5, L=4), 5e-324))
+# A coupling so weak that S = 1 to rounding at a band state: its Newton step lands on
+# the emitter's root, where an unchecked weight reads 1.0 for a state that weighs 1e-42.
+@example(block=(ModelParams(J=1.0, Jp=0.5, Delta=0.3, Omega=1e-20, L=64), 0.7))
+# A Newton step that is small against the gap but lands beside the root: an unchecked
+# second step left two weights of 1.0 where they are 8e-27 and 2e-26.
+@example(block=(ModelParams(J=1.0, Jp=1.7138930636191507, Delta=3.310462646917536,
+                            Omega=1.0336945316576508e-12, L=62), -0.20268339700579308))
 def test_dense_weights_sum_to_one_property(block):
     # Every weight is finite and in [0, 1], they sum to 1, no step warns, and
     # the sums over clusters closer than 1e-9 match the refined weights of the
@@ -223,6 +235,28 @@ def test_dense_weights_sum_to_one_property(block):
     assert np.abs(np.add.reduceat(weights, cuts)
                   - np.add.reduceat(refined_dense_weights(long_double_block(params, K), 1e-9),
                                     cuts)).max() <= 1e-12
+
+
+def test_dense_bulk_block_weights_need_no_dstein(monkeypatch):
+    # The benchmark's L = 2000 block at K = pi/3: the recurrence certifies every weight,
+    # so no dstein call is made, and the weights are dstein's on the same eigenvalues to
+    # 2e-14.
+    from scipy.linalg import lapack
+
+    params, K = ModelParams(J=1.0, Jp=0.5, Delta=3.0, Omega=0.2, L=2000), math.pi / 3
+    d, e = _lattice_tridiagonal(params, K)
+    calls, dstein = [], lapack.dstein
+
+    def counted(*args):
+        calls.append(args)
+        return dstein(*args)
+
+    monkeypatch.setattr(lapack, "dstein", counted)
+    spec = dense_block_diagonalize(params, K)
+    monkeypatch.undo()
+    assert not calls
+    reference = oracle._row0_weights(lapack, d, e, spec.eigenvalues)
+    assert np.abs(spec.weights - reference).max() <= 2e-14
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-300, 1e-8, 0.1, 1.0, 30.0, 560.0, 1400.0])
