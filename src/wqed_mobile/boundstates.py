@@ -7,9 +7,11 @@ increasing pole function
 
 one root below the band (branch -1) and one above (branch +1), which exist
 for every parameter set with Omega > 0.  The excited-state weight follows
-from the analytic derivative of the self-energy, u_K^{-2} = 1 - dSigma/dE,
-and the photon cloud in the relative coordinate x = x_photon - x_emitter is
-a two-sided geometric decay in the inner self-energy pole y_<:
+from the analytic derivative of the self-energy, u_K^{-2} = 1 - dSigma/dE;
+F and this slope are written in the band-edge offset delta = |E| - 2|z(K)|
+here, not through model.self_energy.  The photon cloud in the relative
+coordinate x = x_photon - x_emitter is a two-sided geometric decay in the
+inner self-energy pole y_<, with no momentum grid and at any ring size L:
 
     f(x) = Omega u_K y_<^x / [z(K) (y_< - y_>)]          for x >= 0,
     f(x) = conj(f(-x))                                   for x < 0,
@@ -133,10 +135,12 @@ def _bound_offsets(params: ModelParams, K: np.ndarray, side: int) -> np.ndarray:
     om2 = params.Omega**2
     if om2 == 0.0 and (inside := side * e_gap <= b).any():
         k = inside.argmax()
-        raise NoBoundState(
-            "Omega = 0 and the decoupled level is not out of band on branch "
-            f"{side:+d} at K = {float(K[k])!r} (E_gap = {float(e_gap[k])!r}, "
-            f"2|z| = {float(b[k])!r})")
+        where = (f"on branch {side:+d} at K = {float(K[k])!r} (E_gap = "
+                 f"{float(e_gap[k])!r}, 2|z| = {float(b[k])!r})")
+        if params.Omega > 0.0:  # the root's offset ~ Omega^4 is far below a double's reach
+            raise NumericalFailure(f"Omega = {params.Omega!r} > 0, but Omega^2 underflows "
+                                   f"to 0, so the bound state {where} is not resolved")
+        raise NoBoundState(f"Omega = 0 and the decoupled level is not out of band {where}")
 
     def g(s, i):  # side * F at delta = e^s for the K points i, increasing in s
         return side * _f_of_delta(_libm(math.exp, s), side, b[i], e_gap[i], om2)
@@ -229,30 +233,20 @@ def pole_residual(params: ModelParams, bound: BoundState) -> float:
 
 
 def bound_wavefunctions(params: ModelParams, bound: BoundState, x_max: int
-                        ) -> tuple[np.ndarray, WavefunctionField, float]:
-    """Momentum and position wavefunctions of a bound state.
+                        ) -> tuple[WavefunctionField, float]:
+    """Position wavefunction of a bound state.
 
-    Returns (f_p, field, photon_density):
+    Returns (field, photon_density):
 
-    * f_p    : real amplitudes Omega u / sqrt(L) / (E - omega_tilde(K, p))
-               on the L-point momentum grid;
     * field  : closed-form f(x) for |x| <= x_max, phase odd in x;
     * photon_density : the x-independent photon number
                |Omega u y_<|^2 / (|z(K)|^2 |y_< - y_>|^2 (1 - |y_<|^2)).
     """
     if x_max < 0:
         raise ParameterError(f"x_max must be >= 0 (got {x_max})")
-    L = params.L
-    n_x = 2 * x_max + 1  # six complex arrays a site (output columns included), 32 B a momentum
-    check_memory(n_x * 6 * 16 + L * 32, f"the wavefunction on {n_x} sites", "reduce x_max or L")
+    n_x = 2 * x_max + 1  # x, x >= 0 and three complex arrays: 57 B a site at the peak
+    check_memory(n_x * 57, f"the wavefunction on {n_x} sites", "reduce x_max")
     z = complex(z_of_K(params, bound.K))
-    # E - omega_tilde(K, p) = side edge_offset + 2|z| (side + cos(p + arg z)), the
-    # bracket in half-angle form: no cancellation where p sits on the band extremum.
-    half = 0.5 * (momentum_grid(L) + math.atan2(z.imag, z.real))
-    bracket = np.cos(half) ** 2 if bound.branch > 0 else np.sin(half) ** 2
-    f_p = (params.Omega / math.sqrt(L)) * bound.u / (
-        bound.branch * (bound.edge_offset + 4.0 * abs(z) * bracket))
-
     b = float(band_halfwidth(params, bound.K))
     d, sq = _resolved_offset(b, bound.energy, bound.edge_offset)
     y_out = -bound.branch * (abs(bound.energy) + sq) / (2.0 * z)
@@ -266,7 +260,7 @@ def bound_wavefunctions(params: ModelParams, bound: BoundState, x_max: int
     # |y_<| = b / (b + d + sq), so 1 - |y_<|^2 has no cancellation.
     density = ((params.Omega * bound.u * b / sq) ** 2
                / ((d + sq) * (2.0 * b + d + sq)))
-    return f_p, field, float(density)
+    return field, float(density)
 
 
 @dataclass(frozen=True)

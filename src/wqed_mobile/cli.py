@@ -175,7 +175,7 @@ def _bound_bands(args, params):
 
 def _bound_wavefunction(args, params):
     bound = solve_bound_state(params, args.K, +1 if args.branch == "plus" else -1)
-    _, field, density = bound_wavefunctions(params, bound, args.xmax)
+    field, density = bound_wavefunctions(params, bound, args.xmax)
     return ({"": (["x", "f_re", "f_im", "abs_f", "phase"],
                   [field.x, field.amp.real, field.amp.imag,
                    np.abs(field.amp), np.angle(field.amp)])},

@@ -98,7 +98,6 @@ def _check_block_budget(L: int, n_blocks: int, n_times: int, n_snapshots: int):
 class KBlockTrajectory:
     """Exact block evolution sampled at `times` (psi_e: (nt,), phi: (nt, L))."""
 
-    K: float
     times: np.ndarray
     psi_e: np.ndarray
     phi: np.ndarray
@@ -511,7 +510,7 @@ def evolve_fixed_K(params: ModelParams, K: float, times) -> KBlockTrajectory:
     modes = next(_chunk_modes(params, [K]))
     psi_e, phase = _psi_e(times, [modes.energy], [modes.weight], np.arange(times.size))
     phi = _phi(modes, phase, np.empty(_PANEL_BYTES // 8))
-    return KBlockTrajectory(K=float(K), times=times, psi_e=psi_e[:, 0], phi=phi)
+    return KBlockTrajectory(times=times, psi_e=psi_e[:, 0], phi=phi)
 
 
 def photon_spectrum_and_directionality(traj: KBlockTrajectory, t: float
@@ -573,7 +572,7 @@ def markov_rate(params: ModelParams, K: float) -> float:
             f"E_(K,Delta) = {e!r} lies outside the band (half-width {b!r}); "
             "the emitter does not decay"
         )
-    return -2.0 * self_energy(params, K, e).sigma.imag
+    return -2.0 * self_energy(params, K, e).imag
 
 
 def fit_exponential_rate(times: np.ndarray, values: np.ndarray,
@@ -748,7 +747,6 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
 class PositionObservables:
     """Snapshot of position-space occupations on centered sites x."""
 
-    t: float
     x: np.ndarray
     n_photon: np.ndarray
     p_ground: np.ndarray
@@ -792,7 +790,6 @@ def position_observables(run: LocalizedRun, t: float) -> PositionObservables:
     half = L // 2
     x = np.arange(-half, half)
     return PositionObservables(
-        t=float(run.times[it]),
         x=x,
         n_photon=np.roll(n_photon / L, half),
         p_ground=np.roll(p_ground / L, half),

@@ -21,12 +21,15 @@ self-energy of the dressed emitter level,
 
 has the closed form sign(E) * Omega^2 / sqrt(E^2 - 4|z(K)|^2) outside the
 band; inside the band the retarded value Sigma(E + i0+) is purely imaginary
-with Im Sigma = -Omega^2 / sqrt(4|z(K)|^2 - E^2).  Its poles in the variable
-y = e^{ip} are
+with Im Sigma = -Omega^2 / sqrt(4|z(K)|^2 - E^2).  `self_energy` gives that
+value, and `dynamics.markov_rate` reads it; the bound-state solver writes the
+out-of-band form in the band-edge offset |E| - 2|z(K)| instead (boundstates).
+The integrand's poles in the variable y = e^{ip} are
 
     y_{+-} = [-E +- sqrt(E^2 - 4|z(K)|^2)] / (2 z(K)),
 
-exactly one of which lies inside the unit circle for E outside the band.
+exactly one of which lies inside the unit circle for E outside the band; a
+bound state's photon cloud decays as the inner one, `BoundState.y_in`.
 """
 
 from __future__ import annotations
@@ -148,69 +151,22 @@ def gap_energy(params: ModelParams, K):
     return params.Delta + xi_emitter(params, K)
 
 
-@dataclass(frozen=True)
-class SelfEnergyEval:
-    """Self-energy Sigma_K(E) together with its pole structure.
+def self_energy(params: ModelParams, K: float, E: float) -> complex:
+    """Closed-form self-energy Sigma_K(E) of the dressed emitter level.
 
-    dsigma_dE is real and defined only outside the band (NaN inside).
-    y_in / y_out are the poles of the y = e^{ip} integrand inside/outside the
-    unit circle; for E inside the band both lie on the circle and the
-    retarded prescription E -> E + i0+ decides which one counts as inner.
-    """
-
-    sigma: complex
-    dsigma_dE: float
-    y_in: complex
-    y_out: complex
-    band_halfwidth: float
-
-
-def _poles(z: complex, E: float, b: float) -> tuple[complex, complex]:
-    """Poles y_< (inside unit circle) and y_> (outside) at real energy E.
-
-    Uses cancellation-free forms: for |E| > b the small root is written as
-    -+ 2 conj(z) / (|E| + sqrt(E^2 - b^2)) so no precision is lost at large
-    |E|.
-    """
-    if abs(E) > b:
-        sq = math.sqrt((abs(E) - b) * (abs(E) + b))
-        sign = math.copysign(1.0, E)
-        y_in = -sign * 2.0 * z.conjugate() / (abs(E) + sq)
-        y_out = -sign * (abs(E) + sq) / (2.0 * z)
-    else:
-        sq = math.sqrt((b - E) * (b + E))
-        y_in = (-E + 1j * sq) / (2.0 * z)
-        y_out = (-E - 1j * sq) / (2.0 * z)
-    return y_in, y_out
-
-
-def self_energy(params: ModelParams, K: float, E: float) -> SelfEnergyEval:
-    """Closed-form self-energy of the dressed emitter level at (K, E).
-
-    Outside the band:  Sigma = sign(E) Omega^2 / sqrt(E^2 - 4|z|^2), real,
-    with derivative dSigma/dE = -Omega^2 |E| / (E^2 - 4|z|^2)^{3/2} < 0.
+    Outside the band:  Sigma = sign(E) Omega^2 / sqrt(E^2 - 4|z|^2), real.
     Inside the band the retarded value is purely imaginary,
     Sigma(E + i0+) = -i Omega^2 / sqrt(4|z|^2 - E^2).
 
     Raises BandEdgeSingularity at |E| = 2|z(K)| exactly.
     """
-    z = complex(z_of_K(params, K))
     b = float(band_halfwidth(params, K))
     delta = abs(E) - b
     if delta == 0.0:
         raise BandEdgeSingularity(
             f"self-energy diverges at the band edge |E| = 2|z(K)| = {b!r}"
         )
-    y_in, y_out = _poles(z, E, b)
     root = math.sqrt(abs(delta)) * math.sqrt(abs(E) + b)  # sqrt|E^2 - 4|z|^2| > 0
     om2 = params.Omega**2  # where it underflows, Omega / root is formed first
     mag = om2 / root if om2 >= sys.float_info.min else params.Omega * (params.Omega / root)
-    if delta > 0.0:
-        sigma = complex(math.copysign(mag, E))
-        dsigma = -mag / root / root * abs(E)
-    else:
-        sigma = -1j * mag
-        dsigma = math.nan
-    return SelfEnergyEval(
-        sigma=sigma, dsigma_dE=dsigma, y_in=y_in, y_out=y_out, band_halfwidth=b
-    )
+    return complex(math.copysign(mag, E)) if delta > 0.0 else -1j * mag

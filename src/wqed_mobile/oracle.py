@@ -57,7 +57,6 @@ from .model import (
 class BlockSpectrum:
     """Eigenvalues (ascending) and excited-state weights of one K block."""
 
-    K: float
     eigenvalues: np.ndarray
     weights: np.ndarray
 
@@ -124,7 +123,7 @@ def dense_block_diagonalize(params: ModelParams, K: float) -> BlockSpectrum:
     weights = np.zeros(n)
     weights[:m] = _path_weights(lapack, d[:m], e[:m - 1], energy[:m]) if m > 1 else 1.0
     order = np.argsort(energy, kind="stable")
-    return BlockSpectrum(K=float(K), eigenvalues=energy[order], weights=weights[order])
+    return BlockSpectrum(eigenvalues=energy[order], weights=weights[order])
 
 
 #: Acceptance of a recurrence weight, conditions (a)-(c) of dense_block_diagonalize.
@@ -313,10 +312,8 @@ class WavepacketResult:
     p_transmitted: float
     p_reflected: float
     excited_residual: float
-    photon_momenta: np.ndarray
     photon_occupation: np.ndarray
     n_blocks: int
-    t_final: float
 
 
 def _gaussian_packet(p: np.ndarray, center: float, sigma: float, x0: float
@@ -413,8 +410,6 @@ def wavepacket_scattering_oracle(params: ModelParams, k0: float, p0: float,
         p_transmitted=peak_centroid(in_band, p0),
         p_reflected=peak_centroid(~in_band, p_refl_peak),
         excited_residual=excited,
-        photon_momenta=p,
         photon_occupation=n_p,
         n_blocks=int(keep.size),
-        t_final=float(t_final),
     )

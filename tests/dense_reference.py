@@ -1,8 +1,9 @@
 """Dense references shared by the test modules: the block's eigenvalues, the block in
 long double, long-double refined emitter weights, a hypothesis strategy of (params, K)
-blocks, the position observables from the whole L x L joint amplitude, the
-wavefront of a position profile, phases from exact products and the pairwise
-scattering kernel; and a fresh interpreter with its peak RSS."""
+blocks, the self-energy's slope and a bound state's momentum amplitudes in closed form,
+the position observables from the whole L x L joint amplitude, the wavefront of a
+position profile, phases from exact products and the pairwise scattering kernel; and a
+fresh interpreter with its peak RSS."""
 
 import decimal
 import math
@@ -15,8 +16,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 import wqed_mobile
-from wqed_mobile import (ModelParams, ParameterError, gap_energy, momentum_grid, omega_tilde,
-                         v_emitter, v_photon, xi_emitter, z_of_K)
+from wqed_mobile import (ModelParams, ParameterError, band_halfwidth, gap_energy,
+                         momentum_grid, omega_tilde, v_emitter, v_photon, xi_emitter, z_of_K)
 from wqed_mobile.dynamics import block_hamiltonian
 from wqed_mobile.model import grid_add_index
 
@@ -105,6 +106,24 @@ def blocks(draw):
     K = draw(st.one_of(st.sampled_from((0.0, math.pi)),
                        st.integers(0, L - 1).map(lambda i: float(momentum_grid(L)[i]))))
     return ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=omega, L=L), K
+
+
+def self_energy_slope(params: ModelParams, K: float, E: float) -> float:
+    """dSigma/dE = -Omega^2 |E| / (E^2 - 4|z(K)|^2)^{3/2} outside the band."""
+    b = float(band_halfwidth(params, K))
+    return -params.Omega**2 * abs(E) / (E * E - b * b) ** 1.5
+
+
+def bound_momentum_amplitudes(params: ModelParams, bound) -> np.ndarray:
+    """A bound state's real photon amplitudes Omega u / sqrt(L) / (E - omega_tilde(K, p))
+    on the L-point momentum grid.  E - omega_tilde = side edge_offset + 2|z| (side +
+    cos(p + arg z)), the bracket in half-angle form: no cancellation where p sits on the
+    band extremum."""
+    L, z = params.L, complex(z_of_K(params, bound.K))
+    half = 0.5 * (momentum_grid(L) + math.atan2(z.imag, z.real))
+    bracket = np.cos(half) ** 2 if bound.branch > 0 else np.sin(half) ** 2
+    return (params.Omega / math.sqrt(L)) * bound.u / (
+        bound.branch * (bound.edge_offset + 4.0 * abs(z) * bracket))
 
 
 def position_reference(run, t: float):

@@ -49,7 +49,8 @@ from wqed_mobile.boundstates import _bound_offsets
 from wqed_mobile.oracle import _lattice_tridiagonal
 from wqed_mobile.scattering import scatter
 
-from dense_reference import dense_block_eigenvalues, wavefront_position
+from dense_reference import (bound_momentum_amplitudes, dense_block_eigenvalues,
+                             wavefront_position)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -164,13 +165,14 @@ def test_criterion_05_wavefunction_closed_form():
     max_dev = 0.0
     for branch in (+1, -1):
         bound = solve_bound_state(params, K, branch)
-        f_p, field, _ = bound_wavefunctions(params, bound, 50)
+        f_p = bound_momentum_amplitudes(params, bound)
+        field, _ = bound_wavefunctions(params, bound, 50)
         for i, x in enumerate(field.x):
             dft = np.sum(np.exp(1j * p * x) * f_p) / math.sqrt(params.L)
             max_dev = max(max_dev, abs(field.amp[i] - dft))
 
     bound = solve_bound_state(params, K, -1)
-    f_p, _, _ = bound_wavefunctions(params, bound, 1)
+    f_p = bound_momentum_amplitudes(params, bound)
     f_ring = np.fft.ifft(np.fft.ifftshift(f_p)) * math.sqrt(params.L)
     rng = np.random.default_rng(505)
     dens = np.array([

@@ -16,6 +16,7 @@ from wqed_mobile import (
     BandEdgeSingularity,
     ModelParams,
     NoBoundState,
+    NumericalFailure,
     ParameterError,
     SizeError,
     band_halfwidth,
@@ -26,7 +27,6 @@ from wqed_mobile import (
     momentum_grid,
     omega_tilde,
     pole_residual,
-    self_energy,
     solve_bound_state,
     z_of_K,
 )
@@ -34,7 +34,8 @@ from wqed_mobile import (
 from wqed_mobile import boundstates, errors
 from wqed_mobile.boundstates import _f_of_delta
 
-from dense_reference import dense_block_eigenvalues
+from dense_reference import (bound_momentum_amplitudes, dense_block_eigenvalues,
+                             self_energy_slope)
 
 
 GENERIC = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=1.0, L=2000)
@@ -97,8 +98,24 @@ def test_decoupled_limit():
     # decoupled level inside the band: no bound state on either side
     params2 = ModelParams(J=1.0, Jp=0.2, Delta=0.0, Omega=0.0, L=400)
     for branch in (+1, -1):
-        with pytest.raises(NoBoundState):
+        with pytest.raises(NoBoundState, match="Omega = 0 and the decoupled level"):
             solve_bound_state(params2, 0.3, branch)
+    # Omega = 1e-200 > 0 whose square underflows to 0: a level out of band on the
+    # branch is the decoupled level, as at Omega = 0; one inside the band would bind
+    # at an edge offset of order Omega^4, which no double resolves, so the solve fails
+    # and names the underflow rather than Omega = 0.
+    tiny = ModelParams(J=1.0, Jp=0.2, Delta=3.0, Omega=1e-200, L=400)
+    assert solve_bound_state(tiny, 0.0, +1) == bound
+    with pytest.raises(NumericalFailure, match=r"Omega = 1e-200 > 0, but Omega\^2 underflows"):
+        solve_bound_state(tiny, 0.0, -1)
+    with pytest.raises(NumericalFailure, match="underflows"):
+        band_scan(tiny, 16)
+
+
+def test_branch_must_be_plus_or_minus_one():
+    for branch in (0, 2, "plus"):
+        with pytest.raises(ParameterError, match="branch must be \\+1 or -1"):
+            solve_bound_state(GENERIC, 0.3, branch)
 
 
 def test_weak_coupling_limit_approaches_bare_level():
@@ -134,7 +151,7 @@ def test_weight_consistent_with_self_energy_derivative():
         K = rng.uniform(-math.pi, math.pi)
         for branch in (+1, -1):
             bound = solve_bound_state(params, K, branch)
-            ds = self_energy(params, K, bound.energy).dsigma_dE
+            ds = self_energy_slope(params, K, bound.energy)
             assert bound.u**-2 == pytest.approx(1.0 - ds, rel=1e-9)
 
 
@@ -149,7 +166,7 @@ def test_state_normalization_on_grid():
         K = rng.uniform(-math.pi, math.pi)
         for branch in (+1, -1):
             bound = solve_bound_state(params, K, branch)
-            f_p, _, _ = bound_wavefunctions(params, bound, 1)
+            f_p = bound_momentum_amplitudes(params, bound)
             norm = bound.u**2 + float(np.sum(np.abs(f_p) ** 2))
             assert abs(norm - 1.0) < 1e-10
 
@@ -162,14 +179,15 @@ def _dft(f_p, x, L):
 def test_position_wavefunction_matches_dft():
     for branch in (+1, -1):
         bound = solve_bound_state(GENERIC, math.pi / 3, branch)
-        f_p, field, _ = bound_wavefunctions(GENERIC, bound, 50)
+        f_p = bound_momentum_amplitudes(GENERIC, bound)
+        field, _ = bound_wavefunctions(GENERIC, bound, 50)
         for i, x in enumerate(field.x):
             assert abs(field.amp[i] - _dft(f_p, x, GENERIC.L)) < 1e-8
 
 
 def test_position_wavefunction_symmetries():
     bound = solve_bound_state(GENERIC, math.pi / 3, -1)
-    _, field, _ = bound_wavefunctions(GENERIC, bound, 40)
+    field, _ = bound_wavefunctions(GENERIC, bound, 40)
     amp = field.amp
     x = field.x
     flipped = amp[::-1]
@@ -194,14 +212,15 @@ def test_position_wavefunction_real_cases():
     ]
     for params, K in cases:
         bound = solve_bound_state(params, K, +1)
-        _, field, _ = bound_wavefunctions(params, bound, 30)
+        field, _ = bound_wavefunctions(params, bound, 30)
         assert np.abs(field.amp.imag).max() < 1e-12
         assert np.abs(field.amp - field.amp[::-1]).max() < 1e-12
 
 
 def test_photon_density_position_independent_and_consistent():
     bound = solve_bound_state(GENERIC, math.pi / 3, -1)
-    f_p, field, density = bound_wavefunctions(GENERIC, bound, 50)
+    f_p = bound_momentum_amplitudes(GENERIC, bound)
+    _, density = bound_wavefunctions(GENERIC, bound, 50)
     L = GENERIC.L
     p = momentum_grid(L)
     # photon amplitude on the ring, relative coordinate x = 0..L-1
@@ -389,7 +408,7 @@ def test_weak_coupling_state_resolves_the_band_edge(omega):
         for K in np.linspace(-math.pi, math.pi, 21):
             for branch in (+1, -1):
                 bound = solve_bound_state(params, K, branch)
-                _, field, density = bound_wavefunctions(params, bound, 3)
+                field, density = bound_wavefunctions(params, bound, 3)
                 assert abs(bound.y_in) < 1.0
                 assert math.isfinite(bound.loc_length) and bound.loc_length > 0.0
                 assert math.isfinite(density) and density > 0.0
@@ -408,39 +427,42 @@ def test_wavefunction_over_budget_raises_before_allocating():
         bound_wavefunctions(GENERIC, bound, 10**11)
 
 
-def test_wavefunction_charges_its_momentum_amplitudes(monkeypatch):
-    # The L momentum amplitudes and their temporaries peak at 32 bytes a momentum,
-    # the peak that tracemalloc sees (32.0 bytes at L = 1000-2,000,000), so the call
-    # charges them with the 96 bytes a site before it builds the momentum grid.
+def test_wavefunction_charges_its_sites(monkeypatch):
+    # x, its sign mask and three complex arrays peak at 57 bytes a site, the peak that
+    # tracemalloc sees (57.05 and 57.00 bytes at 40,001 and 2,000,001 sites), and the
+    # call charges the sites alone: it builds no momentum grid, so a ring of 2**40
+    # sites costs nothing.
     def grid(L):
-        raise AssertionError("momenta built before the budget check")
+        raise AssertionError("a momentum grid was built")
 
-    params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=1.0, L=2_000_000)
+    params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=1.0, L=2**40)
     bound = solve_bound_state(params, 0.3, +1)
+    monkeypatch.setattr(boundstates, "momentum_grid", grid)
+    x_max = 20_000
     tracemalloc.start()
     try:
-        bound_wavefunctions(params, bound, 0)
+        bound_wavefunctions(params, bound, x_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    need = 96 + 32 * params.L
+    need = 57 * (2 * x_max + 1)
     assert need <= peak <= 1.05 * need
-    monkeypatch.setattr(boundstates, "momentum_grid", grid)
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
-    with pytest.raises(SizeError, match="reduce x_max or L"):
-        bound_wavefunctions(params, bound, 0)
+    with pytest.raises(SizeError, match="reduce x_max$"):
+        bound_wavefunctions(params, bound, x_max)
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
-    with pytest.raises(AssertionError, match="budget check"):
-        bound_wavefunctions(params, bound, 0)
+    field, density = bound_wavefunctions(params, bound, x_max)
+    assert np.all(np.isfinite(field.amp)) and math.isfinite(density)
 
 
 def test_momentum_amplitudes_finite_on_the_band_extremum():
     # Weak coupling rounds the energy onto omega_tilde at a grid momentum on the
-    # band extremum, where E - omega_tilde used to divide by zero.  The
-    # amplitudes stay finite and match two independent evaluations: the plain
-    # Omega u / sqrt(L) / (E - omega_tilde) where its denominator cannot cancel,
-    # and everywhere the form with side + cos x = side sin^2 x / (1 - side cos x)
-    # wherever side cos x < 0, x = p + arg z.
+    # band extremum, where E - omega_tilde used to divide by zero.  The half-angle
+    # amplitudes of dense_reference (the tests' reference for the field), from the
+    # solver's u and edge offset, stay finite and match two independent evaluations:
+    # the plain Omega u / sqrt(L) / (E - omega_tilde) where its denominator cannot
+    # cancel, and everywhere the form with side + cos x = side sin^2 x / (1 - side
+    # cos x) wherever side cos x < 0, x = p + arg z.
     L = 400
     p = momentum_grid(L)
     for omega in (1e-6, 1e-8):
@@ -450,7 +472,7 @@ def test_momentum_amplitudes_finite_on_the_band_extremum():
                 for branch in (+1, -1):
                     bound = solve_bound_state(params, K, branch)
                     with np.errstate(all="raise"):
-                        f_p, _, _ = bound_wavefunctions(params, bound, 3)
+                        f_p = bound_momentum_amplitudes(params, bound)
                     assert np.all(np.isfinite(f_p))
                     scale = omega / math.sqrt(L) * bound.u
                     plain = bound.energy - omega_tilde(params, K, p)

@@ -259,6 +259,26 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
                "--Delta", "0", "--Jp", "0.2"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+    # Omega > 0 whose square underflows: the message names the underflow, not Omega = 0.
+    assert main(["bound-wavefunction", "--K", "0", "--Omega", "1e-200"]) == 3
+    err = capsys.readouterr().err
+    assert "Omega = 1e-200 > 0, but Omega^2 underflows" in err and "Omega = 0 " not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("delta, null", [
+    ("3", {"markov_rate", "predicted_p_plus", "predicted_p_minus"}),  # out of band
+    ("2", {"markov_rate"}),  # on the band edge, where the rate diverges
+])
+def test_emit_fixed_k_with_the_level_off_the_band(tmp_path, monkeypatch, delta, null):
+    # At K = 0 and J' = 0 the band is [-2, 2].  The run still exits 0, and the sidecar
+    # writes null where the golden-rule rate or the on-shell momenta do not exist.
+    monkeypatch.chdir(tmp_path)
+    assert main(["emit-fixed-k", "--K", "0", "--Jp", "0", "--Delta", delta, "--Omega", "0.2",
+                 "--L", "64", "--tmax", "10", "--nt", "11"]) == 0
+    meta = json.loads((tmp_path / "emit-fixed-k.json").read_text())
+    for key in ("markov_rate", "predicted_p_plus", "predicted_p_minus"):
+        assert (meta[key] is None) == (key in null), key
 
 
 def test_threads_env_cap():

@@ -79,6 +79,9 @@ def test_times_validation_and_size_budget():
         evolve_fixed_K(params, 0.0, [1.0, 0.5])
     with pytest.raises(ParameterError):
         evolve_fixed_K(params, 0.0, [-1.0, 0.5])
+    for times in ([], np.zeros((2, 2))):
+        with pytest.raises(ParameterError, match="times must be a non-empty 1-D array"):
+            evolve_fixed_K(params, 0.0, times)
     # Over the budget in the secular solve's ~900 doubles a root alone; raised
     # before any allocation.
     with pytest.raises(SizeError):
@@ -161,18 +164,25 @@ def test_markov_rate_values():
 
 @pytest.mark.parametrize("E", [0.0, 0.7, -2.5, 3.0, -4.0])
 def test_self_energy_and_markov_rate_scale_with_the_energies(E):
-    # Sigma and Gamma are energies and dSigma/dE a number, so scaling J, J',
-    # Delta, Omega and E by 1e-280 scales Sigma and Gamma by 1e-280, although
-    # E^2 - 4|z|^2 and Omega^2 underflow there.  The band half-width at K = 0.4
-    # is 2.95: E = 3 and -4 lie outside it, the rest and E_{K,Delta} inside.
+    # Sigma and Gamma are energies, so scaling J, J', Delta, Omega and E by
+    # 1e-280 scales Sigma and Gamma by 1e-280, although E^2 - 4|z|^2 and
+    # Omega^2 underflow there.  The band half-width at K = 0.4 is 2.95:
+    # E = 3 and -4 lie outside it, the rest and E_{K,Delta} inside.
     scale, K = 1e-280, 0.4
     ref = ModelParams(J=1.0, Jp=0.5, Delta=0.3, Omega=0.2, L=16)
     tiny = ModelParams(J=scale, Jp=0.5 * scale, Delta=0.3 * scale, Omega=0.2 * scale, L=16)
     a, b = self_energy(ref, K, E), self_energy(tiny, K, E * scale)
-    assert a.sigma != 0.0
-    assert abs(b.sigma / scale - a.sigma) <= 1e-14 * abs(a.sigma)
-    assert np.allclose(b.dsigma_dE, a.dsigma_dE, rtol=1e-14, atol=0.0, equal_nan=True)
+    assert a != 0.0
+    assert abs(b / scale - a) <= 1e-14 * abs(a)
     assert markov_rate(tiny, K) / scale == pytest.approx(markov_rate(ref, K), rel=1e-14)
+
+
+def test_fit_window_needs_two_usable_samples():
+    times, values = np.arange(5.0), np.array([1.0, 0.5, 0.0, 0.25, 0.1])
+    for t_lo, t_hi in ((1.5, 2.5), (3.5, 10.0), (9.0, 10.0)):  # a zero, one, none
+        with pytest.raises(ParameterError, match="fewer than two usable samples"):
+            fit_exponential_rate(times, values, t_lo, t_hi)
+    assert fit_exponential_rate(times, values, 0.0, 1.0) == pytest.approx(math.log(2.0))
 
 
 def test_markov_rate_against_decay_fit():

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from wqed_mobile import (
     ModelParams,
     OracleInvalid,
+    ParameterError,
     band_halfwidth,
     dense_block_diagonalize,
     evolve_fixed_K,
@@ -411,7 +412,7 @@ def test_wavepacket_result_feeds_spectrum_csv(tmp_path):
     params = ModelParams(J=1.0, Jp=0.0, Delta=0.0, Omega=1.0, L=256)
     res = wavepacket_scattering_oracle(params, 0.0, math.pi / 2, 0.04, 40.0)
     path = tmp_path / "oracle_np.csv"
-    write_csv(str(path), ["p", "N_p"], [res.photon_momenta, res.photon_occupation])
+    write_csv(str(path), ["p", "N_p"], [momentum_grid(params.L), res.photon_occupation])
     lines = path.read_text().splitlines()
     assert lines[0] == "p,N_p"
     assert len(lines) == 257
@@ -419,6 +420,9 @@ def test_wavepacket_result_feeds_spectrum_csv(tmp_path):
 
 def test_wavepacket_validity_warnings():
     params = ModelParams(J=1.0, Jp=0.1, Delta=0.0, Omega=0.5, L=256)
+    for sigma_p in (0.0, -0.03):
+        with pytest.raises(ParameterError, match="sigma_p must be positive"):
+            wavepacket_scattering_oracle(params, 0.5, math.pi / 2, sigma_p, 30.0)
     with pytest.warns(OracleInvalid):
         wavepacket_scattering_oracle(params, 0.5, math.pi / 2, 0.08, 30.0)
     with pytest.warns(OracleInvalid):
