@@ -44,6 +44,10 @@ from .model import (
 
 #: Acceptable residual |F(E)| relative to max(1, |E|, |E_{K,Delta}|) after polishing.
 ROOT_TOL = 1e-12
+
+#: Smallest band-edge offset the bracket of a root reaches; below it the solve fails.
+_OFFSET_FLOOR = 1e-280
+
 FLATNESS_HALF_WINDOW, FLATNESS_N_POINTS = 0.5, 201  # flatness_report's window in K - pi
 
 
@@ -133,14 +137,17 @@ def _bound_offsets(params: ModelParams, K: np.ndarray, side: int) -> np.ndarray:
     b = band_halfwidth(params, K)
     e_gap = gap_energy(params, K)
     om2 = params.Omega**2
+
+    def where(k):  # the branch and the K point k, for a message
+        return (f"on branch {side:+d} at K = {float(K[k])!r} (E_gap = "
+                f"{float(e_gap[k])!r}, 2|z| = {float(b[k])!r})")
+
     if om2 == 0.0 and (inside := side * e_gap <= b).any():
         k = inside.argmax()
-        where = (f"on branch {side:+d} at K = {float(K[k])!r} (E_gap = "
-                 f"{float(e_gap[k])!r}, 2|z| = {float(b[k])!r})")
         if params.Omega > 0.0:  # the root's offset ~ Omega^4 is far below a double's reach
             raise NumericalFailure(f"Omega = {params.Omega!r} > 0, but Omega^2 underflows "
-                                   f"to 0, so the bound state {where} is not resolved")
-        raise NoBoundState(f"Omega = 0 and the decoupled level is not out of band {where}")
+                                   f"to 0, so the bound state {where(k)} is not resolved")
+        raise NoBoundState(f"Omega = 0 and the decoupled level is not out of band {where(k)}")
 
     def g(s, i):  # side * F at delta = e^s for the K points i, increasing in s
         return side * _f_of_delta(_libm(math.exp, s), side, b[i], e_gap[i], om2)
@@ -151,8 +158,12 @@ def _bound_offsets(params: ModelParams, K: np.ndarray, side: int) -> np.ndarray:
     g_lo = g(_libm(math.log, d_lo), every)
     while (i := np.flatnonzero(g_lo >= 0.0)).size:
         d_lo[i] /= 256.0
-        if d_lo[i].min() < 1e-280:
-            raise NumericalFailure("could not bracket the bound-state root from below")
+        if d_lo[i].min() < _OFFSET_FLOOR:
+            k = i[np.argmin(d_lo[i])]
+            raise NumericalFailure(
+                f"could not bracket the bound-state root from below {where(k)}: at "
+                f"Omega = {params.Omega!r} its band-edge offset lies below the "
+                f"{_OFFSET_FLOOR!r} floor of the bracket")
         g_lo[i] = g(_libm(math.log, d_lo[i]), i)
     # Outer bracket end: grow geometrically from the coupling scale.
     d_hi = np.full(K.shape, max(params.Omega, 1e-3))

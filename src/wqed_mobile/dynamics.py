@@ -556,7 +556,7 @@ def asymptotic_momenta(params: ModelParams, K: float) -> tuple[float, float] | N
     if abs(e) > b:
         return None
     alpha = math.acos(max(-1.0, min(1.0, -e / b)))
-    phi = np.angle(z)
+    phi = math.atan2(z.imag, z.real)  # libm's, not numpy's SIMD-dispatched arctan2
     return wrap(-alpha - phi), wrap(alpha - phi)
 
 

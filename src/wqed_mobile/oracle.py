@@ -217,18 +217,16 @@ def chebyshev_evolve_blocks(diag: np.ndarray, e_gap: np.ndarray, coupling: float
     """exp(-i H t) on (n_blocks, L) photon + (n_blocks,) excited amplitudes.
 
     Each block Hamiltonian is diagonal plus a border column of `coupling`;
-    the spectrum is rigorously contained in [min diag - |Omega|,
-    max diag + |Omega|] with |Omega| = coupling * sqrt(L), which fixes the
-    Chebyshev scaling.  Terms are summed until the Bessel coefficients fall
-    below 1e-16, so the result carries no time-step error (at t = 0 one
-    term with coefficient 1 remains).  The blocks are independent, so they
-    are summed a few at a time, sized so that the recursion's arrays stay
-    in cache; the result does not depend on the grouping.
+    its spectrum lies in _spectral_interval's bound over all blocks, which
+    fixes the Chebyshev scaling.  Terms are summed until the Bessel
+    coefficients fall below 1e-16, so the result carries no time-step error
+    (at t = 0 one term with coefficient 1 remains).  The blocks are
+    independent, so they are summed a few at a time, sized so that the
+    recursion's arrays stay in cache; the result does not depend on the
+    grouping.
     """
     n_blocks, L = phi0.shape
-    om = abs(coupling) * math.sqrt(L)
-    lo = min(float(diag.min()), float(e_gap.min())) - om
-    hi = max(float(diag.max()), float(e_gap.max())) + om
+    lo, hi = _spectral_interval(diag, e_gap, coupling)
     a = 0.5 * (hi + lo)
     b = 0.5 * (hi - lo) * (1.0 + 1e-9) + 1e-12
 
@@ -251,6 +249,29 @@ def chebyshev_evolve_blocks(diag: np.ndarray, e_gap: np.ndarray, coupling: float
         phi[r], psi[r] = _chebyshev_sum(coef, (diag[r] - a) / b, (e_gap[r] - a) / b,
                                         coupling / b, phi0[r], psi_e0[r])
     return phi, psi
+
+
+def _spectral_interval(diag: np.ndarray, e_gap: np.ndarray, coupling: float
+                      ) -> tuple[float, float]:
+    """[lo, hi] holding the spectrum of every block diag(diag[j]) bordered by a column of
+    `coupling` to the level e_gap[j].
+
+    With Omega = |coupling| sqrt(L), Cauchy-Schwarz on the border puts a unit vector's
+    energy between the eigenvalues of [[d_min, Omega], [Omega, E]] and of [[d_max, Omega],
+    [Omega, E]] (d_min and d_max the block's smallest and largest diag).  Each lies
+    s = Omega^2 / (r + delta) past min(d, E) or max(d, E), with delta = |d - E| / 2 and
+    r = hypot(delta, Omega), and r + delta >= Omega holds in floating point, so s <= Omega:
+    the interval is never wider than [min(d, E) - Omega, max(d, E) + Omega].
+    """
+    om = abs(coupling) * math.sqrt(diag.shape[-1])
+
+    def past(d):  # s for the blocks' d and e_gap; 0 without a coupling
+        half = 0.5 * np.abs(d - e_gap)
+        return om * (om / (np.hypot(half, om) + half)) if om > 0.0 else 0.0
+
+    d_min, d_max = diag.min(axis=-1), diag.max(axis=-1)
+    return (float(np.min(np.minimum(d_min, e_gap) - past(d_min))),
+            float(np.max(np.maximum(d_max, e_gap) + past(d_max))))
 
 
 def _bessel_j(n: int, x: float) -> np.ndarray:

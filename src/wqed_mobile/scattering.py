@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -176,6 +177,14 @@ def scatter(params: ModelParams, k_i: float, p_i: float) -> ScatterOutcome:
     )
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def sweep_scattering(params: ModelParams, n_k: int, n_p: int) -> dict[str, np.ndarray]:
     """Scattering table over the (k_i, p_i) grid, row-major with p_i fastest.
 
@@ -187,24 +196,47 @@ def sweep_scattering(params: ModelParams, n_k: int, n_p: int) -> dict[str, np.nd
     longer than that is cut into blocks of _CHUNK_POINTS columns), and writes
     into 2-D views of the preallocated table; each point depends on its own
     (k_i, p_i) alone, so the columns are those of one call on the grid.
+
+    The blocks run on W threads (numpy releases the GIL in its loops): W is the
+    least of the number of blocks, of CPUs the process may run on, and of
+    chunks in flight that a quarter of the table's bytes holds, so a table
+    under about 700^2 points is filled by one loop in the calling thread.  Each
+    worker writes its own blocks under the caller's numpy error state (and
+    error callback), and the first worker exception is raised here.
     """
     if n_k < 2 or n_p < 2:
         raise ParameterError(f"sweep grid sizes must be >= 2 (got {n_k} x {n_p})")
-    n = n_k * n_p
-    check_memory(n * _TABLE_BYTES + _CHUNK_POINTS * _KERNEL_BYTES,
+    n, chunk = n_k * n_p, _CHUNK_POINTS * _KERNEL_BYTES
+    rows, cols = max(1, _CHUNK_POINTS // n_p), min(n_p, _CHUNK_POINTS)
+    blocks = [(slice(r, r + rows), slice(c, c + cols))
+              for r, c in itertools.product(range(0, n_k, rows), range(0, n_p, cols))]
+    workers = max(1, min(len(blocks), _cpus(), n * _TABLE_BYTES // 4 // chunk))
+    check_memory(n * _TABLE_BYTES + workers * chunk,
                  f"the scattering sweep on {n_k} x {n_p} points", "reduce nk or np")
     k, p = momentum_grid(n_k), momentum_grid(n_p)
     table = {"k_i": np.repeat(k, n_p), "p_i": np.tile(p, n_k)}
     table.update((name, np.empty(n, dtype=bool if name == "degenerate" else float))
                  for name in SWEEP_COLUMNS[2:])
     grid = {name: table[name].reshape(n_k, n_p) for name in SWEEP_COLUMNS[2:]}
-    rows, cols = max(1, _CHUNK_POINTS // n_p), min(n_p, _CHUNK_POINTS)
-    n_flipped = 0
-    for r, c in itertools.product(range(0, n_k, rows), range(0, n_p, cols)):
-        block = slice(r, r + rows), slice(c, c + cols)
+
+    def fill(block) -> int:  # one block into its rows of the table; its flip count
         out = _scatter_grid(params, k[block[0]], p[block[1]])
         for name, column in grid.items():
             column[block] = out[name]
-        n_flipped += int(np.count_nonzero(out["flipped"]))
+        return int(np.count_nonzero(out["flipped"]))
+
+    if workers == 1:
+        n_flipped = sum(map(fill, blocks))
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # 4 ms, for a threaded sweep
+
+        # A new thread starts from numpy's default error state, not the caller's.
+        err, call = np.geterr(), np.geterrcall()
+        pool = ThreadPoolExecutor(workers, initializer=lambda: (np.seterr(**err),
+                                                                np.seterrcall(call)))
+        try:
+            n_flipped = sum(pool.map(fill, blocks))
+        finally:  # after a failure, the blocks not yet started are dropped
+            pool.shutdown(cancel_futures=True)
     _log_flips(n_flipped)
     return table

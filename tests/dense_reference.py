@@ -2,8 +2,8 @@
 long double, long-double refined emitter weights, a hypothesis strategy of (params, K)
 blocks, the self-energy's slope and a bound state's momentum amplitudes in closed form,
 the position observables from the whole L x L joint amplitude, the wavefront of a
-position profile, phases from exact products and the pairwise scattering kernel; and a
-fresh interpreter with its peak RSS."""
+position profile, phases from exact products and the pairwise scattering kernel; a
+fresh interpreter with its peak RSS, and numpy's AVX-512 dispatch groups."""
 
 import decimal
 import math
@@ -42,6 +42,16 @@ def run_python(code: str, cwd, **env) -> str:
     return subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=path, **env),
                           capture_output=True, text=True, check=True, cwd=cwd).stdout
+
+
+def avx512_groups() -> list[str]:
+    """numpy's AVX-512 dispatch groups this CPU runs, the NPY_DISABLE_CPU_FEATURES
+    value that switches them off in a fresh interpreter; [] where there are none."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return [g for g in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(g)]
 
 
 #: 2 pi to 40 significant digits.

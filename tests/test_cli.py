@@ -263,6 +263,34 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
     assert main(["bound-wavefunction", "--K", "0", "--Omega", "1e-200"]) == 3
     err = capsys.readouterr().err
     assert "Omega = 1e-200 > 0, but Omega^2 underflows" in err and "Omega = 0 " not in err
+    # Omega^2 > 0, but the band-edge offset (~Omega^4 / 16) lies below the bracket's floor.
+    assert main(["bound-wavefunction", "--K", "0", "--Omega", "1e-70"]) == 3
+    err = capsys.readouterr().err
+    assert "could not bracket the bound-state root from below on branch +1 at K = 0.0" in err
+    assert "Omega = 1e-70" in err and "1e-280 floor" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n, cpus", [(301, None), (721, 2)])
+@pytest.mark.parametrize("model, message", [
+    (("1e300", "5e299", "3e299", "5e299"), "overflow"),  # Omega^2 overflows
+    (("1.7e308", "1.7e308", "1e308", "1e154"), "invalid value"),  # inf - inf in numpy
+])
+def test_overflowing_map_exits_3_without_a_warning(tmp_path, monkeypatch, capsys, n, cpus,
+                                                   model, message):
+    # J, J', Delta and Omega near the top of the double range fail every block of the
+    # sweep.  301^2 runs in one loop; 721^2 takes two worker threads, whose numpy error
+    # state is the CLI's, so no RuntimeWarning escapes them either.
+    monkeypatch.chdir(tmp_path)
+    if cpus:
+        monkeypatch.setattr(scattering, "_cpus", lambda: cpus)
+    flags = [f for pair in zip(("--J", "--Jp", "--Delta", "--Omega"), model) for f in pair]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["map-transmission", *flags, "--nk", str(n), "--np", str(n)])
+    assert rc == 3
+    assert f"numerical failure: {message}" in capsys.readouterr().err
+    assert [w.category for w in caught] == []
     assert list(tmp_path.iterdir()) == []
 
 

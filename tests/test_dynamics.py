@@ -33,8 +33,9 @@ from wqed_mobile import dynamics
 from wqed_mobile.dynamics import _chunk_modes, block_hamiltonian
 from wqed_mobile.oracle import dense_block_diagonalize
 
-from dense_reference import (PEAK_KIB, blocks, exact_phases, position_reference,
-                             refined_dense_weights, run_python, wavefront_position)
+from dense_reference import (PEAK_KIB, avx512_groups, blocks, exact_phases,
+                             position_reference, refined_dense_weights, run_python,
+                             wavefront_position)
 
 FIG_EMISSION = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=400)
 
@@ -142,6 +143,24 @@ def test_asymptotic_momenta_labels_continuous(jp, delta, K):
 def test_asymptotic_momenta_out_of_band():
     params = ModelParams(J=1.0, Jp=0.5, Delta=4.2, Omega=0.2, L=64)
     assert asymptotic_momenta(params, math.pi) is None
+
+
+def _asymptotic_momenta_text() -> str:
+    """repr of the on-shell momenta over J', Delta and 401 K values each."""
+    return repr([asymptotic_momenta(ModelParams(Jp=jp, Delta=delta, Omega=0.2), K)
+                 for jp in (0.1, 0.5, 0.9) for delta in (-1.0, 0.3)
+                 for K in np.linspace(-math.pi, math.pi, 401).tolist()])
+
+
+def test_asymptotic_momenta_keep_their_bits_without_avx512(tmp_path):
+    # numpy rounds arctan2 (np.angle) differently under its AVX-512 kernels; arg z comes
+    # from libm's atan2, so a process with those kernels switched off gets the same bits.
+    groups = avx512_groups()
+    if not groups:
+        pytest.skip("no AVX-512 kernels here: the main run already takes the baseline")
+    code = "import test_dynamics; print(test_dynamics._asymptotic_momenta_text())"
+    out = run_python(code, tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(groups))
+    assert out.splitlines()[-1] == _asymptotic_momenta_text()
 
 
 def test_markov_rate_values():

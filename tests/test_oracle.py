@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from wqed_mobile import (
     ModelParams,
@@ -301,6 +301,46 @@ def test_chebyshev_matches_dense_evolution():
             np.zeros((1, 128)), np.ones(1), t)
         assert abs(psi_t[0] - traj.psi_e[0]) < 1e-10
         assert np.abs(phi_t[0] - traj.phi[0]).max() < 1e-10
+
+
+@st.composite
+def bordered_blocks(draw):
+    """(params, K values): a few small K blocks of one model, Delta up to +-10 and Omega
+    up to 5, with J' = J and Omega = 0 among the draws."""
+    L = 2 * draw(st.integers(2, 16))
+    jp = draw(st.one_of(st.just(1.0), st.floats(0.0, 2.0)))
+    delta = draw(st.one_of(st.sampled_from((-10.0, 10.0)), st.floats(-10.0, 10.0)))
+    omega = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    ks = draw(st.lists(st.one_of(st.just(math.pi), st.integers(0, L - 1).map(
+        lambda i: float(momentum_grid(L)[i]))), min_size=1, max_size=4))
+    return ModelParams(J=1.0, Jp=jp, Delta=delta, Omega=omega, L=L), ks
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(block=bordered_blocks())
+# J' = J at K = pi: a flat photon band, where the bound is the bordered 2 x 2 block's own
+# eigenvalues, tight.
+@example(block=(ModelParams(J=1.0, Jp=1.0, Delta=10.0, Omega=5.0, L=16), [math.pi]))
+@example(block=(ModelParams(J=1.0, Jp=1.0, Delta=-10.0, Omega=0.0, L=8), [math.pi, 0.0]))
+@example(block=(ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=5.0, L=4), [0.0, math.pi]))
+def test_chebyshev_interval_holds_the_spectrum(block):
+    # Every block's dense eigenvalues lie in the interval, up to the padding that
+    # chebyshev_evolve_blocks adds to it, and the interval lies in the old one,
+    # [min(d, E) - Omega, max(d, E) + Omega] over all blocks.
+    params, ks = block
+    L, K = params.L, np.array(ks)
+    diag = omega_tilde(params, K[:, None], momentum_grid(L)[None, :])
+    e_gap = np.asarray(gap_energy(params, K), dtype=float)
+    coupling = params.Omega / math.sqrt(L)
+    lo, hi = oracle._spectral_interval(diag, e_gap, coupling)
+    om = abs(coupling) * math.sqrt(L)
+    assert min(diag.min(), e_gap.min()) - om <= lo <= hi <= max(diag.max(), e_gap.max()) + om
+    pad = 0.5 * (hi - lo) * 1e-9 + 1e-12
+    for d, e in zip(diag, e_gap):
+        h = np.diag(np.append(d, e))
+        h[:-1, -1] = h[-1, :-1] = coupling
+        energy = np.linalg.eigvalsh(h)
+        assert lo - pad <= energy[0] and energy[-1] <= hi + pad
 
 
 def test_chebyshev_blocks_are_independent_of_their_grouping(monkeypatch):

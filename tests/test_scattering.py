@@ -2,6 +2,9 @@
 
 import logging
 import math
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -25,7 +28,7 @@ from wqed_mobile import (
 )
 from wqed_mobile import scattering
 
-from dense_reference import pairwise_scatter_arrays, run_python
+from dense_reference import avx512_groups, pairwise_scatter_arrays, run_python
 
 
 def _complex_cols(table, name):
@@ -284,11 +287,7 @@ def test_grid_kernel_keeps_the_pairwise_bits_at_degenerate_and_free_points():
 def test_grid_kernel_keeps_the_pairwise_bits_without_avx512(tmp_path):
     # numpy rounds arccos and arctan2 differently under its AVX-512 kernels; the
     # comparison runs again in a process with them switched off.
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__
-    groups = [g for g in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(g)]
+    groups = avx512_groups()
     if not groups:
         pytest.skip("no AVX-512 kernels here: the test above already runs the baseline")
     code = "import test_scattering; test_scattering._check_kernel_bits(); print('same bits')"
@@ -332,6 +331,92 @@ def test_sweep_holds_little_more_than_its_table():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * sum(column.nbytes for column in table.values())
+
+
+def test_sweep_bits_do_not_depend_on_the_cpus(tmp_path):
+    # 1001^2 points in 63 blocks: by default on up to 4 threads (as many as the process
+    # has CPUs), pinned to one CPU in one loop in the calling thread.  The tables carry
+    # the same bits, arccos flips at J' = J included.  On a one-CPU machine both runs
+    # take the loop.
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity call on this platform")
+    code = """if 1:
+        import hashlib, os
+        from wqed_mobile import ModelParams, scattering, sweep_scattering
+        if {pin}:
+            os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+        table = sweep_scattering(ModelParams(J=1.0, Jp=1.0, Delta=0.0, Omega=1.0, L=8),
+                                 1001, 1001)
+        digest = hashlib.sha256()
+        for name in scattering.SWEEP_COLUMNS:
+            digest.update(table[name].tobytes())
+        print(scattering._cpus(), digest.hexdigest())
+    """
+    cpus, default = run_python(code.format(pin=False), tmp_path).split()
+    one, pinned = run_python(code.format(pin=True), tmp_path).split()
+    assert int(cpus) == len(os.sched_getaffinity(0)) and int(one) == 1
+    assert pinned == default
+
+
+def test_threaded_sweep_equals_one_kernel_call(monkeypatch, caplog):
+    # More workers than cores, on small blocks, with a short switch interval: 8 threads
+    # fill 201 blocks of 1024 points, and the table keeps the bits of one kernel call on
+    # the grid.  Every block runs off the calling thread, the budget is charged 8 chunks
+    # in flight, and the flips of all blocks make one log record.
+    monkeypatch.setattr(scattering, "_CHUNK_POINTS", 1024)
+    monkeypatch.setattr(scattering, "_cpus", lambda: 8)
+    charged, threads, kernel, check = [], set(), scattering._scatter_grid, scattering.check_memory
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return kernel(*args)
+
+    monkeypatch.setattr(scattering, "_scatter_grid", spy)
+    monkeypatch.setattr(scattering, "check_memory",
+                        lambda need, *args: charged.append(need) or check(need, *args))
+    n_k, n_p = 401, 397
+    params = ModelParams(J=1.0, Jp=1.0, Delta=0.0, Omega=1.0, L=8)
+    ref = kernel(params, momentum_grid(n_k), momentum_grid(n_p))
+    threads.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with caplog.at_level(logging.WARNING, logger="wqed_mobile.scattering"):
+            table = sweep_scattering(params, n_k, n_p)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in scattering.SWEEP_COLUMNS[2:]:
+        assert np.array_equal(_bits(table[name]), _bits(ref[name].ravel())), name
+    assert threads and threading.main_thread().ident not in threads and len(threads) <= 8
+    assert charged == [n_k * n_p * scattering._TABLE_BYTES
+                       + 8 * 1024 * scattering._KERNEL_BYTES]
+    flips = [r.getMessage() for r in caplog.records if "on-shell check" in r.getMessage()]
+    assert flips == [f"arccos sign prefactor failed on-shell check at "
+                     f"{np.count_nonzero(ref['flipped'])} point(s); selected the exact second root"]
+
+
+def test_threaded_sweep_raises_in_the_caller(monkeypatch):
+    # A 721^2 sweep takes two workers wherever the process has two CPUs (here made
+    # so).  They run under the caller's numpy error state: Omega^2 overflowing at
+    # J = 1e300 raises OverflowError, and inf - inf at J = 1.7e308 FloatingPointError,
+    # in the caller; under errstate(all="ignore") the same sweep returns, so no worker
+    # fell back to numpy's default of warning, and under errstate(all="call") the
+    # workers report to the caller's callback.
+    monkeypatch.setattr(scattering, "_cpus", lambda: 2)
+    raised = dict(over="raise", invalid="raise", divide="raise")
+    with np.errstate(**raised), pytest.raises(OverflowError):
+        sweep_scattering(ModelParams(J=1e300, Jp=0.5e300, Delta=0.3e300, Omega=0.5e300,
+                                     L=8), 721, 721)
+    huge = ModelParams(J=1.7e308, Jp=1.7e308, Delta=1e308, Omega=1e154, L=8)
+    with np.errstate(**raised), pytest.raises(FloatingPointError, match="invalid value"):
+        sweep_scattering(huge, 721, 721)
+    with np.errstate(all="ignore"):
+        table = sweep_scattering(huge, 721, 721)
+    assert not np.isfinite(table["p_f2"]).all()
+    threads = set()
+    with np.errstate(all="call", call=lambda kind, flag: threads.add(threading.get_ident())):
+        sweep_scattering(huge, 721, 721)
+    assert threads and threading.get_ident() not in threads
 
 
 def _check_invariants(params, k_i, p_i, t, r, p_f2, k_f2):
