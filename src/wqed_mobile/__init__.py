@@ -30,22 +30,14 @@ from .model import (
     xi_emitter,
     z_of_K,
 )
-from .scattering import ScatterOutcome, scatter, sweep_scattering
+from .scattering import scatter, sweep_scattering
 from .boundstates import (
-    BandScan,
-    BoundState,
-    WavefunctionField,
     band_scan,
     bound_wavefunctions,
     flatness_report,
-    pole_residual,
     solve_bound_state,
 )
 from .dynamics import (
-    EmissionWindows,
-    KBlockTrajectory,
-    LocalizedRun,
-    PositionObservables,
     asymptotic_momenta,
     classify_regime_and_windows,
     evolve_fixed_K,
@@ -56,9 +48,4 @@ from .dynamics import (
     position_observables,
     spectrum_peaks,
 )
-from .oracle import (
-    BlockSpectrum,
-    WavepacketResult,
-    dense_block_diagonalize,
-    wavepacket_scattering_oracle,
-)
+from .oracle import dense_block_diagonalize, wavepacket_scattering_oracle

@@ -234,15 +234,6 @@ def _brent(f, xpre, xcur, fpre, fcur):
     raise NumericalFailure("bound-state root search did not converge")
 
 
-def pole_residual(params: ModelParams, bound: BoundState) -> float:
-    """|F| at a solved bound state, evaluated in the band-edge offset
-    parametrization so the measurement stays exact arbitrarily close to the
-    edge (F evaluated at E itself loses precision there to cancellation)."""
-    b = float(band_halfwidth(params, bound.K))
-    return abs(float(_f_of_delta(bound.edge_offset, bound.branch, b,
-                                 float(gap_energy(params, bound.K)), params.Omega**2)))
-
-
 def bound_wavefunctions(params: ModelParams, bound: BoundState, x_max: int
                         ) -> tuple[WavefunctionField, float]:
     """Position wavefunction of a bound state.

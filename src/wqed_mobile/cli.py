@@ -142,7 +142,7 @@ _RUN_FLAGS = (
     ("--out", dict(type=str, default=None,
                    help="output prefix (default: the subcommand name)")),
     ("--threads", dict(type=int, default=None,
-                       help="echoed in the sidecar only: K blocks run in one loop")),
+                       help="echoed in the sidecar only (default: the usable CPUs)")),
 )
 
 

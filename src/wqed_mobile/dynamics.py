@@ -29,7 +29,6 @@ their roots together, about 4096 at a time.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,12 +51,13 @@ from .model import (
     wrap,
     z_of_K,
 )
+from .scattering import _cpus
 
 
 def resolve_threads(requested: int | None = None) -> int:
-    """The --threads request, else the CPU count; the CLI echoes it, but K blocks
-    evolve in one loop."""
-    return max(1, requested or os.cpu_count() or 1)
+    """The --threads request, else the CPUs this process may run on (the sweep's
+    count); the CLI echoes it, but K blocks evolve in one loop."""
+    return max(1, requested or _cpus())
 
 
 def block_hamiltonian(params: ModelParams, K: float) -> np.ndarray:
@@ -82,16 +82,17 @@ def _time_index(times: np.ndarray, t: float, what: str = "sampled times") -> int
     return i
 
 
-def _check_block_budget(L: int, n_blocks: int, n_times: int, n_snapshots: int):
+def _check_block_budget(L: int, n_blocks: int, n_times: int, n_snapshots: int) -> int:
     # A chunk's ~900 doubles a root (~64 arrays, 8 step factors, 64 rows of phases) and its
     # phase rows at the snapshots (16 bytes a root and snapshot), the panel buffer (which
     # position_observables' panels later fit in), ~400 doubles a row BLAS packs, one block's
     # phi and temporaries (32 bytes a row and snapshot by tracemalloc, 48 charged), all output.
-    roots = min(n_blocks, max(1, _CHUNK_ROOTS // (L + 1))) * (L + 1)
-    check_memory(8 * roots * (900 + 2 * n_snapshots) + _PANEL_BYTES
+    per = min(n_blocks, max(1, _CHUNK_ROOTS // (L + 1)))
+    check_memory(8 * per * (L + 1) * (900 + 2 * n_snapshots) + _PANEL_BYTES
                  + 8 * (L + 1) * (400 + 6 * n_snapshots)
                  + 16 * n_blocks * (n_times + n_snapshots * L),
                  "K-block work", "reduce L, the sample count or the snapshots")
+    return per  # blocks per batched solve, the chunks charged above
 
 
 @dataclass(frozen=True)
@@ -305,20 +306,26 @@ def _secular_roots(blocks, L: int, g2: float):
         o = np.where(mirror, nbr - 1 - k, k)
         return o, X[off + k], w[off + k], m * (c_ref + D[off + o])
 
+    def in_band(b, X, x):  # tau = E - P_o in the frame of a root at x from its origin X
+        return 4 * b * np.sin((2 * X + x) / L) * np.sin(x / L)
+
+    def below(b, edge, x):  # and of a root below the band at x = -kappa (or kappa)
+        return -4 * b * np.sinh(0.5 * x) ** 2 - edge
+
     def evaluate(rows, t):  # h, its rounding bound, -dh/dt at the origin and in all, w
         ib = band[rows]
         out = np.empty((5, rows.size))
         r, x = rows[ib], t[ib]
         Xr, cb, br = X_o[r], c_o[r], b[r]
         S, slope, near, scale, sa = _ring_sum_in_band(br, L, Xr, w_o[r], x)
-        tau = 4 * br * np.sin((2 * Xr + x) / L) * np.sin(x / L)
+        tau = in_band(br, Xr, x)
         slope = Om2 * slope + 4 * br * sa / L
         out[:, ib] = (Om2 * S - cb - tau, Om2 * scale + np.abs(cb) + np.abs(tau),
                       Om2 * near, slope, 4 * br * sa / (L * slope))
         if not ib.all():
             x, r = -t[~ib], rows[~ib]
             S, dS, s = _ring_sum_below(b[r], L, sin2[r], x)
-            tau = -4 * b[r] * np.sinh(0.5 * x) ** 2 - edge[r]
+            tau = below(b[r], edge[r], x)
             out[:, ~ib] = (Om2 * S - c_o[r] - tau, Om2 * np.abs(S) + np.abs(c_o[r]) + np.abs(tau),
                            Om2 / (2 * b[r] * x * x), Om2 * dS - s, -s / (Om2 * dS - s))
         out[1] *= 8 * _EPS
@@ -337,8 +344,7 @@ def _secular_roots(blocks, L: int, g2: float):
     lo[up], hi[up] = -gap[(off + nf)[up]], 0.0
     o, X_o, w_o, c_o = origin(k)
     t, weight = _iterate(evaluate, t, lo, hi, np.sign(t), first_eval)
-    tau = m * np.where(band, 4 * b * np.sin((2 * X_o + t) / L) * np.sin(t / L),
-                       -4 * b * np.sinh(0.5 * t) ** 2 - edge)
+    tau = m * np.where(band, in_band(b, X_o, t), below(b, edge, t))
     energy, D_o = P[off + o] + tau, D[off + o]
     # The origin's neighbours from angles, as their rounded D may not resolve them:
     # E_n - P at (root, pole of the chunk), in pole order and so block by block.
@@ -675,15 +681,13 @@ def classify_regime_and_windows(params: ModelParams) -> EmissionWindows:
 
 @dataclass(frozen=True)
 class LocalizedRun:
-    """All K-block trajectories of an emitter initially excited at site x0.
+    """All K-block trajectories of an emitter initially excited at a site x0.
 
-    c[m] = e^{i K_m x0} / sqrt(L) are the momentum amplitudes; psi_e has
-    shape (nt, L) over (time, K), and phi (n_snap, L, L) over (snapshot, K, p)
-    holds the photon amplitudes at the sampled times `snapshots` only.
+    c[m] = e^{i K_m x0} / sqrt(L) are the momentum amplitudes (L is c.size,
+    and neither the parameters nor x0 are kept); psi_e has shape (nt, L) over
+    (time, K), and phi (n_snap, L, L) over (snapshot, K, p) at `snapshots`.
     """
 
-    params: ModelParams
-    x0: int
     times: np.ndarray
     c: np.ndarray
     psi_e: np.ndarray
@@ -701,21 +705,20 @@ class LocalizedRun:
         return np.sum(np.abs(self.c[None, :]) ** 2 * pops, axis=1)
 
 
-def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> LocalizedRun:
+def evolve_localized(params: ModelParams, x0: int, times, snapshots) -> LocalizedRun:
     """Evolve every K block for an emitter initially excited at site x0.
 
-    psi_e is kept at every time; phi only at `snapshots`, which must be
-    sampled times (default: all of them).  Only blocks K = -pi .. 0 are
-    solved; block -K is block K read at -p, and at J' = 0 one solve serves all.
+    psi_e is kept at every time; phi only at `snapshots`, sampled times (all
+    of them when `times` is passed).  Only blocks K = -pi .. 0 are solved;
+    block -K is block K read at -p, and at J' = 0 one solve serves all.
     """
     if not (isinstance(x0, (int, np.integer)) or float(x0).is_integer()):
         raise ParameterError(f"x0 must be an integer site (got {x0!r})")
     x0 = int(x0)
     times = _checked_times(times)
-    keep = np.arange(times.size) if snapshots is None else np.array(
-        [_time_index(times, t) for t in np.atleast_1d(snapshots)], dtype=np.intp)
+    keep = np.array([_time_index(times, t) for t in np.atleast_1d(snapshots)], dtype=np.intp)
     L = params.L
-    _check_block_budget(L, L, times.size, keep.size)
+    per = _check_block_budget(L, L, times.size, keep.size)
     kgrid = momentum_grid(L)
     n = np.arange(L)
     # e^{i K_n x0} = (-1)^x0 e^{2 pi i (n x0 mod L) / L}, exact for any integer x0.
@@ -729,7 +732,6 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
     psi_e = np.empty((times.size, L), dtype=complex)
     phi = np.empty((keep.size, L, L), dtype=complex)
     sources, buffer = list(serves), np.empty(_PANEL_BYTES // 8)
-    per = max(1, _CHUNK_ROOTS // (L + 1))  # blocks per batched solve
     for chunk in (sources[i:i + per] for i in range(0, len(sources), per)):
         solved = list(_chunk_modes(params, kgrid[chunk]))
         psi, phase = _psi_e(times, [m.energy for m in solved], [m.weight for m in solved], keep)
@@ -739,8 +741,7 @@ def evolve_localized(params: ModelParams, x0: int, times, snapshots=None) -> Loc
             for m, order in serves[source]:
                 psi_e[:, m] = psi_k
                 phi[:, m, :] = ph[:, order]
-    return LocalizedRun(params=params, x0=x0, times=times, c=c,
-                        psi_e=psi_e, phi=phi, snapshots=times[keep])
+    return LocalizedRun(times=times, c=c, psi_e=psi_e, phi=phi, snapshots=times[keep])
 
 
 @dataclass(frozen=True)
@@ -774,7 +775,7 @@ def position_observables(run: LocalizedRun, t: float) -> PositionObservables:
     panel holds about _PANEL_BYTES / 128 entries, so no temporary grows like L^2.
     """
     it = _time_index(run.times, t)
-    L, c = run.params.L, run.c
+    L, c = run.c.size, run.c
     phi = run.phi[_time_index(run.snapshots, t, "snapshot times")]
     width = max(1, _PANEL_BYTES // (128 * L))  # rows or columns per panel
     p = np.arange(L)

@@ -1,9 +1,9 @@
 """Dense references shared by the test modules: the block's eigenvalues, the block in
 long double, long-double refined emitter weights, a hypothesis strategy of (params, K)
-blocks, the self-energy's slope and a bound state's momentum amplitudes in closed form,
-the position observables from the whole L x L joint amplitude, the wavefront of a
-position profile, phases from exact products and the pairwise scattering kernel; a
-fresh interpreter with its peak RSS, and numpy's AVX-512 dispatch groups."""
+blocks, the self-energy's slope, a bound state's momentum amplitudes in closed form and
+its pole residual, the position observables from the whole L x L joint amplitude, the
+wavefront of a position profile, phases from exact products and the pairwise scattering
+kernel; a fresh interpreter with its peak RSS, and numpy's AVX-512 dispatch groups."""
 
 import decimal
 import math
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import wqed_mobile
 from wqed_mobile import (ModelParams, ParameterError, band_halfwidth, gap_energy,
                          momentum_grid, omega_tilde, v_emitter, v_photon, xi_emitter, z_of_K)
+from wqed_mobile.boundstates import _f_of_delta
 from wqed_mobile.dynamics import block_hamiltonian
 from wqed_mobile.model import grid_add_index
 
@@ -136,10 +137,19 @@ def bound_momentum_amplitudes(params: ModelParams, bound) -> np.ndarray:
         bound.branch * (bound.edge_offset + 4.0 * abs(z) * bracket))
 
 
+def pole_residual(params: ModelParams, bound) -> float:
+    """|F| at a solved bound state, evaluated in the band-edge offset
+    parametrization so the measurement stays exact arbitrarily close to the
+    edge (F evaluated at E itself loses precision there to cancellation)."""
+    b = float(band_halfwidth(params, bound.K))
+    return abs(float(_f_of_delta(bound.edge_offset, bound.branch, b,
+                                 float(gap_energy(params, bound.K)), params.Omega**2)))
+
+
 def position_reference(run, t: float):
     """(N, P_g, P_e) on the centered sites of position_observables, from the whole joint
     amplitude B(k_g, p) = c_{k_g+p} phi_{k_g+p}(p, t), L x L, and its 2-D transforms."""
-    L = run.params.L
+    L = run.c.size
     idx = np.arange(L)
     ksum = grid_add_index(idx[:, None], idx[None, :], L)  # index of k_g + p
     phi = run.phi[int(np.flatnonzero(run.snapshots == t)[0])]

@@ -37,7 +37,6 @@ from wqed_mobile import (
     flatness_report,
     momentum_grid,
     photon_spectrum_and_directionality,
-    pole_residual,
     position_observables,
     solve_bound_state,
     spectrum_peaks,
@@ -50,7 +49,7 @@ from wqed_mobile.oracle import _lattice_tridiagonal
 from wqed_mobile.scattering import scatter
 
 from dense_reference import (bound_momentum_amplitudes, dense_block_eigenvalues,
-                             wavefront_position)
+                             pole_residual, wavefront_position)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -247,7 +246,7 @@ def test_criterion_08_localized_emission_plateau():
     """(Delta=3, J'=0.5, Omega=0.2, x0=0, L=400): P_e plateau in [0.60, 0.70]."""
     params = ModelParams(J=1.0, Jp=0.5, Delta=3.0, Omega=0.2, L=400)
     times = np.linspace(0.0, 100.0, 26)
-    run = evolve_localized(params, 0, times)
+    run = evolve_localized(params, 0, times, times)
     pe = run.pe_total()
     plateau = float(pe[times >= 60.0].mean())
     final = float(pe[-1])
@@ -261,7 +260,7 @@ def test_criterion_09_position_space_phenomenology():
     """(Delta=0, J'=0.5, Omega=0.2, tJ=49, L=400): photon front at 2Jt +- 3,
     excited front at 2J't +- 3, and exact sum rules."""
     params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=400)
-    run = evolve_localized(params, 0, [49.0])
+    run = evolve_localized(params, 0, [49.0], [49.0])
     obs = position_observables(run, 49.0)
     front_n = wavefront_position(obs.x, obs.n_photon)
     front_e = wavefront_position(obs.x, obs.p_excited)

@@ -26,7 +26,6 @@ from wqed_mobile import (
     gap_energy,
     momentum_grid,
     omega_tilde,
-    pole_residual,
     solve_bound_state,
     z_of_K,
 )
@@ -35,7 +34,7 @@ from wqed_mobile import boundstates, errors
 from wqed_mobile.boundstates import _f_of_delta
 
 from dense_reference import (bound_momentum_amplitudes, dense_block_eigenvalues,
-                             self_energy_slope)
+                             pole_residual, self_energy_slope)
 
 
 GENERIC = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=1.0, L=2000)

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -309,9 +310,19 @@ def test_emit_fixed_k_with_the_level_off_the_band(tmp_path, monkeypatch, delta, 
         assert (meta[key] is None) == (key in null), key
 
 
-def test_threads_env_cap():
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_threads_default_to_the_cpus_the_process_may_run_on(tmp_path):
+    # --threads defaults to the CPUs of the process's affinity, the sweep's count, not
+    # os.cpu_count(): pinned to one CPU, a run's sidecar reads 1.  A request wins.
     from wqed_mobile.dynamics import resolve_threads
     assert resolve_threads(3) == 3
+    src = str(Path(wqed_mobile.__file__).resolve().parents[1])
+    code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from wqed_mobile.cli import main; sys.exit(main(sys.argv[1:]))")
+    subprocess.run([sys.executable, "-c", code, "windows", "--Jp", "0.5", "--Delta", "3"],
+                   env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path, check=True,
+                   capture_output=True)
+    assert json.loads((tmp_path / "windows.json").read_text())["threads"] == 1
 
 
 def test_selfcheck(tmp_path, monkeypatch, capsys):
@@ -559,7 +570,44 @@ def test_import_leaves_scipy_unloaded(tmp_path):
         assert out.splitlines()[-1] == "0 []", (script, argv)
 
 
-def test_public_optional_parameters_are_these_three():
+def test_package_root_exports_these_names():
+    # The root re-exports what README, CI, the benchmark and the tests import from it;
+    # result types stay in their modules.  A new name has to be added here on purpose.
+    names = {name for name, value in vars(wqed_mobile).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert names == {
+        "BandEdgeSingularity", "NoBoundState", "NotEmbedded", "NumericalFailure",
+        "OracleInvalid", "ParameterError", "SizeError",
+        "ModelParams", "band_halfwidth", "gap_energy", "momentum_grid", "omega_photon",
+        "omega_tilde", "self_energy", "v_emitter", "v_photon", "wrap", "xi_emitter", "z_of_K",
+        "scatter", "sweep_scattering",
+        "band_scan", "bound_wavefunctions", "flatness_report", "solve_bound_state",
+        "asymptotic_momenta", "classify_regime_and_windows", "evolve_fixed_K",
+        "evolve_localized", "fit_exponential_rate", "markov_rate",
+        "photon_spectrum_and_directionality", "position_observables", "spectrum_peaks",
+        "dense_block_diagonalize", "wavepacket_scattering_oracle"}
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    # README's "Library quick start" block, run as written with warnings as errors:
+    # each print whose comment gives a value ("# 0.7994...") prints that value.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start\n", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints)
+    values = {i: m.group(1) for i, line in enumerate(prints)
+              if (m := re.search(r"#\s*(-?[0-9.]+)\.\.\.", line))}
+    assert sorted(values.values()) == ["0.028284", "0.7994"]
+    for i, value in values.items():
+        assert printed[i].split()[0].startswith(value), (printed[i], value)
+
+
+def test_public_optional_parameters_are_these_two():
     # Each defaulted parameter of a public function is an option that tests
     # and benchmarks must cover, so a new one has to be added here on purpose.
     options = {}
@@ -572,9 +620,7 @@ def test_public_optional_parameters_are_these_three():
                              if p.default is not p.empty]
                 if defaulted:
                     options[fname] = defaulted
-    assert options == {"resolve_threads": ["requested"],
-                       "evolve_localized": ["snapshots"],
-                       "main": ["argv"]}
+    assert options == {"resolve_threads": ["requested"], "main": ["argv"]}
 
 
 _FUZZ_VALID = st.floats(-5.0, 5.0).map(repr)

@@ -102,7 +102,7 @@ def test_non_finite_times_are_rejected(bad):
     with pytest.raises(ParameterError, match=f"t = {bad!r}"):
         evolve_fixed_K(params, 0.7, [0.0, bad, 2.0])
     with pytest.raises(ParameterError, match=f"t = {bad!r}"):
-        evolve_localized(params, 0, [0.0, bad])
+        evolve_localized(params, 0, [0.0, bad], [0.0, bad])
     traj = evolve_fixed_K(params, 0.7, [0.0, 2.0])
     with pytest.raises(ParameterError, match=f"t = {bad!r} is not one of the sampled"):
         photon_spectrum_and_directionality(traj, bad)
@@ -445,7 +445,7 @@ def test_windows_are_scale_free(scale):
 
 def test_localized_initial_state():
     params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=64)
-    run = evolve_localized(params, 3, [0.0])
+    run = evolve_localized(params, 3, [0.0], [0.0])
     obs = position_observables(run, 0.0)
     i3 = int(np.flatnonzero(obs.x == 3)[0])
     assert obs.p_excited[i3] == pytest.approx(1.0, abs=1e-12)
@@ -458,30 +458,29 @@ def test_localized_initial_state():
 def test_localized_rejects_a_non_integer_site(x0):
     params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=16)
     with pytest.raises(ParameterError, match="x0"):
-        evolve_localized(params, x0, [0.0])
-    run = evolve_localized(params, 2.0, [0.0])  # an integral float is a site
-    assert run.x0 == 2
+        evolve_localized(params, x0, [0.0], [0.0])
+    run = evolve_localized(params, 2.0, [0.0], [0.0])  # an integral float is a site
+    assert np.array_equal(run.c, evolve_localized(params, 2, [0.0], [0.0]).c)
 
 
 def test_localized_site_phase_is_exact_for_any_integer_site():
     # c_K = e^{i K x0} / sqrt(L) from integers: x0 and x0 + 10^15 L are one
     # ring site with the same bits, and x0 = 0 is 1 / sqrt(L) exactly.
     params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=64)
-    near = evolve_localized(params, 3, [0.0, 5.0])
-    far = evolve_localized(params, 3 + 10**15 * params.L, [0.0, 5.0])
-    assert far.x0 == 3 + 10**15 * params.L
+    near = evolve_localized(params, 3, [0.0, 5.0], [0.0, 5.0])
+    far = evolve_localized(params, 3 + 10**15 * params.L, [0.0, 5.0], [0.0, 5.0])
     assert np.array_equal(near.c, far.c)
     a, b = position_observables(near, 5.0), position_observables(far, 5.0)
     for name in ("n_photon", "p_ground", "p_excited"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     kgrid = momentum_grid(params.L)
     assert np.abs(near.c - np.exp(3j * kgrid) / 8.0).max() <= 1e-15
-    assert np.array_equal(evolve_localized(params, 0, [0.0]).c, np.full(params.L, 0.125))
+    assert np.array_equal(evolve_localized(params, 0, [0.0], [0.0]).c, np.full(params.L, 0.125))
 
 
 def test_localized_sum_rules_and_norm():
     params = ModelParams(J=1.0, Jp=0.4, Delta=0.3, Omega=0.3, L=128)
-    run = evolve_localized(params, 0, [0.0, 7.0, 23.0])
+    run = evolve_localized(params, 0, [0.0, 7.0, 23.0], [0.0, 7.0, 23.0])
     assert np.abs(run.total_norm() - 1.0).max() < 1e-9
     for t in (7.0, 23.0):
         obs = position_observables(run, t)
@@ -523,15 +522,14 @@ def test_localized_observables_build_no_snapshot_sized_temporaries(tmp_path):
     code = (
         PEAK_KIB +
         "import numpy as np\n"
-        "from wqed_mobile import ModelParams, position_observables\n"
+        "from wqed_mobile import position_observables\n"
         "from wqed_mobile.dynamics import LocalizedRun\n"
         "def run(L):\n"
         "    rng, t = np.random.default_rng(L), np.array([0.0, 1.0])\n"
         "    phi = np.empty((2, L, L), dtype=complex)\n"
         "    rng.standard_normal(out=phi.view(float))\n"
         "    c = np.exp(2j * np.pi * rng.random(L)) / np.sqrt(L)\n"
-        "    return LocalizedRun(ModelParams(J=1.0, Jp=0.5, L=L), 0, t, c,\n"
-        "                        np.ones((2, L), dtype=complex), phi, t)\n"
+        "    return LocalizedRun(t, c, np.ones((2, L), dtype=complex), phi, t)\n"
         "def observe(run):\n"
         "    for t in run.snapshots:\n"
         "        position_observables(run, t)\n"
@@ -550,9 +548,9 @@ def test_localized_decay_mobile_vs_static():
     # to a small residual.
     times = [0.0, 60.0]
     mobile = evolve_localized(
-        ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=256), 0, times)
+        ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=256), 0, times, times)
     static = evolve_localized(
-        ModelParams(J=1.0, Jp=0.0, Delta=0.0, Omega=0.2, L=256), 0, times)
+        ModelParams(J=1.0, Jp=0.0, Delta=0.0, Omega=0.2, L=256), 0, times, times)
     assert mobile.pe_total()[1] < 0.3
     assert static.pe_total()[1] < 0.3
 
@@ -560,7 +558,7 @@ def test_localized_decay_mobile_vs_static():
 def test_localized_wavefronts_small_lattice():
     params = ModelParams(J=1.0, Jp=0.5, Delta=0.0, Omega=0.2, L=256)
     t = 40.0
-    run = evolve_localized(params, 0, [t])
+    run = evolve_localized(params, 0, [t], [t])
     obs = position_observables(run, t)
     assert abs(wavefront_position(obs.x, obs.n_photon) - 2.0 * t) <= 3
     assert abs(wavefront_position(obs.x, obs.p_excited) - 1.0 * t) <= 3
@@ -600,7 +598,7 @@ def test_localized_static_emitter_recovers_fixed_case():
     # photon front still runs at 2Jt.
     params = ModelParams(J=1.0, Jp=0.0, Delta=0.0, Omega=0.2, L=256)
     t = 40.0
-    run = evolve_localized(params, 0, [t])
+    run = evolve_localized(params, 0, [t], [t])
     obs = position_observables(run, t)
     i0 = int(np.flatnonzero(obs.x == 0)[0])
     assert np.delete(obs.p_excited, i0).max() < 1e-20
@@ -609,8 +607,8 @@ def test_localized_static_emitter_recovers_fixed_case():
 
 def test_localized_run_is_deterministic():
     params = ModelParams(J=1.0, Jp=0.3, Delta=0.5, Omega=0.4, L=64)
-    run1 = evolve_localized(params, 0, [11.0])
-    run2 = evolve_localized(params, 0, [11.0])
+    run1 = evolve_localized(params, 0, [11.0], [11.0])
+    run2 = evolve_localized(params, 0, [11.0], [11.0])
     assert np.array_equal(run1.psi_e, run2.psi_e)
     assert np.array_equal(run1.phi, run2.phi)
 
@@ -627,7 +625,8 @@ def test_localized_solves_each_mirrored_block_once(monkeypatch, jp, solves):
 
     chunk_modes = dynamics._chunk_modes
     monkeypatch.setattr(dynamics, "_chunk_modes", counted)
-    evolve_localized(ModelParams(J=1.0, Jp=jp, Delta=0.5, Omega=0.4, L=40), 0, [0.0, 5.0])
+    evolve_localized(ModelParams(J=1.0, Jp=jp, Delta=0.5, Omega=0.4, L=40), 0, [0.0, 5.0],
+                     [0.0, 5.0])
     assert len(calls) == solves
 
 
@@ -721,9 +720,10 @@ def test_each_phase_row_is_evaluated_once(monkeypatch):
     evolve_fixed_K(params, 0.5, np.linspace(0.0, 200.0, 201))
     assert sum(rows) <= 5
     counts = []
-    for snapshots in (None, [10.0], [2.0, 10.0]):
+    times = np.linspace(0.0, 10.0, 11)
+    for snapshots in (times, [10.0], [2.0, 10.0]):
         rows.clear()
-        evolve_localized(params, 0, np.linspace(0.0, 10.0, 11), snapshots)
+        evolve_localized(params, 0, times, snapshots)
         counts.append(sum(rows))
     assert counts == [2, 2, 2]
 
@@ -835,7 +835,7 @@ def test_arrowhead_engine_matches_dense_at_L_2000(jp, omega, K):
 def test_localized_snapshots_keep_phi_only_where_asked():
     params = ModelParams(J=1.0, Jp=0.4, Delta=0.3, Omega=0.3, L=32)
     times = np.linspace(0.0, 20.0, 11)
-    full = evolve_localized(params, 2, times)
+    full = evolve_localized(params, 2, times, times)
     some = evolve_localized(params, 2, times, snapshots=[8.0, 20.0])
     assert full.phi.shape == (11, 32, 32) and some.phi.shape == (2, 32, 32)
     assert np.array_equal(some.psi_e, full.psi_e)

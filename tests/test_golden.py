@@ -3,8 +3,8 @@
 * map-transmission, map-recoil and windows CSV files are pinned by SHA-256
   of their bytes, the maps also at the README's 101 x 101 size;
 * every sidecar must equal the recorded one after dropping `wall_time_s`
-  and `threads` (the latter follows os.cpu_count()); scatter's `result`
-  block is compared exactly;
+  and `threads` (the latter follows the CPUs the process may run on);
+  scatter's `result` block is compared exactly;
 * bound-energies and bound-wavefunction values are pinned to a relative
   1e-12, the precision of the bound-state root, above an absolute 1e-15 for
   entries that are zero in closed form and rounding residue in practice
